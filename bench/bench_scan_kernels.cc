@@ -1,6 +1,6 @@
 // Scan-kernel throughput: per-row type-erased dispatch vs the block-at-a-time
-// kernel pipeline (ISSUE-5 tentpole), plus the AnswerCache read-path
-// micro-bench (mutex-serialized readers vs the wait-free epoch path).
+// kernel pipeline, plus the AnswerCache read-path micro-bench (reader
+// scaling on the shared shard lock).
 //
 // Part 1 — scan kernels. For every (d, selectivity) cell the bench runs a
 // full-table radius scan two ways over the same data and the same
@@ -13,12 +13,11 @@
 // Reported as rows/sec (candidate rows examined per wall second).
 //
 // Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup on
-// a warm group, once with config.mutex_reader_baseline (every reader takes
-// the shard mutex, the pre-epoch design) and once wait-free.
+// a warm group; readers share the shard's reader/writer lock.
 //
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_scan_kernels.json       — one record per (d, selectivity, path)
-//   bench_cache_read_path.json    — one record per (readers, mode)
+//   bench_cache_read_path.json    — one record per reader count
 // picked up by the CI bench-smoke artifact upload. The table JSON includes
 // bytes/row from the Table::MemoryBytes breakdown.
 //
@@ -168,16 +167,14 @@ ScanCell RunScanCell(size_t d, double selectivity, int64_t rows, int64_t reps,
 
 struct CacheCell {
   int readers = 0;
-  bool mutex_baseline = false;
   double lookups_per_sec = 0.0;
   double hit_rate = 0.0;
 };
 
-CacheCell RunCacheCell(int readers, bool mutex_baseline, int64_t lookups_each) {
+CacheCell RunCacheCell(int readers, int64_t lookups_each) {
   service::AnswerCacheConfig cfg;
   cfg.delta_min = 0.9;
   cfg.num_shards = 8;
-  cfg.mutex_reader_baseline = mutex_baseline;
   service::AnswerCache cache(cfg);
   const std::string group = "ds/g0/Q1";
   for (int i = 0; i < 64; ++i) {
@@ -204,7 +201,6 @@ CacheCell RunCacheCell(int readers, bool mutex_baseline, int64_t lookups_each) {
 
   CacheCell cell;
   cell.readers = readers;
-  cell.mutex_baseline = mutex_baseline;
   cell.lookups_per_sec =
       static_cast<double>(lookups_each * readers) / std::max(1e-9, secs);
   cell.hit_rate = cache.stats().HitRate();
@@ -265,27 +261,23 @@ int Run(bool smoke) {
   }
   EmitTable("scan_kernels", util::Format("matrix_rows%lld", static_cast<long long>(rows)), table, env);
 
-  // ---- Cache read path: mutex-serialized vs wait-free readers ----
+  // ---- Cache read path: reader scaling ----
   const std::vector<int> reader_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 8, 32};
   const int64_t lookups_each = smoke ? 20000 : 200000;
 
-  util::TablePrinter cache_table(
-      {"readers", "mode", "lookups_per_sec", "hit_rate"});
+  util::TablePrinter cache_table({"readers", "lookups_per_sec", "hit_rate"});
   std::string cache_json = "[\n";
   for (int readers : reader_counts) {
-    for (bool baseline : {true, false}) {
-      const CacheCell cell = RunCacheCell(readers, baseline, lookups_each);
-      const char* mode = baseline ? "mutex" : "waitfree";
-      cache_table.AddRow({util::Format("%d", readers), mode,
-                          util::Format("%.3g", cell.lookups_per_sec),
-                          util::Format("%.3f", cell.hit_rate)});
-      cache_json += util::Format(
-          "  {\"readers\": %d, \"mode\": \"%s\", \"lookups_per_sec\": %.1f, "
-          "\"hit_rate\": %.4f, \"hardware_concurrency\": %u},\n",
-          readers, mode, cell.lookups_per_sec, cell.hit_rate,
-          std::thread::hardware_concurrency());
-    }
+    const CacheCell cell = RunCacheCell(readers, lookups_each);
+    cache_table.AddRow({util::Format("%d", readers),
+                        util::Format("%.3g", cell.lookups_per_sec),
+                        util::Format("%.3f", cell.hit_rate)});
+    cache_json += util::Format(
+        "  {\"readers\": %d, \"lookups_per_sec\": %.1f, "
+        "\"hit_rate\": %.4f, \"hardware_concurrency\": %u},\n",
+        readers, cell.lookups_per_sec, cell.hit_rate,
+        std::thread::hardware_concurrency());
   }
   if (cache_json.size() > 2 && cache_json[cache_json.size() - 2] == ',') {
     cache_json.erase(cache_json.size() - 2, 1);

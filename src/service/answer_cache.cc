@@ -22,6 +22,37 @@ inline int64_t CellCoord(double x, double cell) {
   return static_cast<int64_t>(std::floor(x / cell));
 }
 
+// A probe's running best candidate.
+struct Best {
+  int32_t idx = -1;
+  double delta = 0.0;
+  uint64_t seq = 0;
+};
+
+// Scores cached query `eq` (slot `idx`, inserted at `seq`) against probe q:
+// the highest admissible δ wins and equal δ goes to the newer insertion, so
+// the choice does not depend on probe order. Returns true iff `eq` is an
+// exact repeat of q (δ = 1), which ends the probe.
+inline bool Consider(const query::Query& q, const query::Query& eq,
+                     int32_t idx, uint64_t seq, double delta_min, Best* best) {
+  if (eq.dimension() != q.dimension()) return false;
+  if (eq == q) {
+    best->idx = idx;
+    best->delta = 1.0;
+    return true;
+  }
+  if (!query::Overlaps(q, eq)) return false;  // Predicate A (Definition 6).
+  const double delta = query::DegreeOfOverlap(q, eq);  // Equation 9.
+  if (delta < delta_min) return false;
+  if (delta > best->delta ||
+      (best->idx >= 0 && delta == best->delta && seq > best->seq)) {
+    best->idx = idx;
+    best->delta = delta;
+    best->seq = seq;
+  }
+  return false;
+}
+
 }  // namespace
 
 AnswerCache::AnswerCache(AnswerCacheConfig config) : config_(config) {
@@ -38,7 +69,14 @@ AnswerCache::Shard& AnswerCache::ShardFor(const std::string& group) const {
   return *shards_[std::hash<std::string>{}(group) % shards_.size()];
 }
 
-uint64_t AnswerCache::CellHash(const double* center, size_t d, double cell) const {
+const AnswerCache::Group* AnswerCache::FindGroup(const Shard& shard,
+                                                 const std::string& key) {
+  auto it = shard.groups.find(key);
+  return it == shard.groups.end() ? nullptr : &it->second;
+}
+
+uint64_t AnswerCache::CellHash(const double* center, size_t d,
+                               double cell) const {
   uint64_t h = 0xcbf29ce484222325ULL ^ d;
   for (size_t j = 0; j < d; ++j) {
     h = Mix(h, static_cast<uint64_t>(CellCoord(center[j], cell)));
@@ -46,51 +84,23 @@ uint64_t AnswerCache::CellHash(const double* center, size_t d, double cell) cons
   return h;
 }
 
-void AnswerCache::RebuildGrid(GroupSnapshot* g) const {
-  g->grid.clear();
-  if (!config_.enable_grid || g->cell <= 0.0) return;
-  for (size_t i = 0; i < g->entries.size(); ++i) {
-    const query::Query& q = g->entries[i]->answer.q;
-    g->grid[CellHash(q.center.data(), q.dimension(), g->cell)].push_back(
-        static_cast<int32_t>(i));
-  }
-}
-
-const AnswerCache::Entry* AnswerCache::LinearProbe(const GroupSnapshot& g,
-                                                   const query::Query& q,
-                                                   double* delta_out) const {
-  const Entry* best = nullptr;
-  double best_delta = 0.0;
-  size_t probed = 0;
-  for (const EntryPtr& e : g.entries) {
-    if (config_.max_probe > 0 && probed >= config_.max_probe) break;
-    ++probed;
-    const query::Query& eq = e->answer.q;
-    if (eq.dimension() != q.dimension()) continue;
-    if (eq == q) {  // Exact repeat: δ = 1, nothing can beat it.
-      *delta_out = 1.0;
-      return e.get();
-    }
-    if (!query::Overlaps(q, eq)) continue;  // Predicate A (Definition 6).
-    const double delta = query::DegreeOfOverlap(q, eq);  // Equation 9.
-    if (delta >= config_.delta_min && delta > best_delta) {
-      best = e.get();
-      best_delta = delta;
-    }
-  }
-  *delta_out = best_delta;
-  return best;
-}
-
-const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
-                                                const query::Query& q,
-                                                double* delta_out,
-                                                bool* used_grid) const {
+int32_t AnswerCache::FindBest(const Group& g, const query::Query& q,
+                              double* delta_out, bool* used_grid) const {
   *used_grid = false;
+  Best best;
+  auto linear_probe = [&]() {
+    for (size_t i = 0; i < g.slots.size(); ++i) {
+      const Slot& s = g.slots[i];
+      if (Consider(q, s.answer.q, static_cast<int32_t>(i), s.seq,
+                   config_.delta_min, &best)) {
+        break;
+      }
+    }
+    *delta_out = best.delta;
+    return best.idx;
+  };
   const size_t d = q.dimension();
-  if (!config_.enable_grid || g.cell <= 0.0 || d == 0) {
-    return LinearProbe(g, q, delta_out);
-  }
+  if (!config_.enable_grid || d == 0) return linear_probe();
 
   // Any admissible entry satisfies ||x - x'|| ≤ (1 - δ_min)(θ + θ') — with
   // θ' bounded by the group's θ_max — so only cells within that radius can
@@ -103,18 +113,13 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
     lo[j] = CellCoord(q.center[j] - radius, g.cell);
     hi[j] = CellCoord(q.center[j] + radius, g.cell);
     const uint64_t span = static_cast<uint64_t>(hi[j] - lo[j]) + 1;
-    if (span > config_.max_grid_cells) return LinearProbe(g, q, delta_out);
+    if (span > config_.max_grid_cells) return linear_probe();
     cells *= static_cast<size_t>(span);
-    if (cells > config_.max_grid_cells) return LinearProbe(g, q, delta_out);
+    if (cells > config_.max_grid_cells) return linear_probe();
   }
-  if (cells >= g.entries.size()) {
-    return LinearProbe(g, q, delta_out);
-  }
+  if (cells >= g.slots.size()) return linear_probe();
   *used_grid = true;
 
-  const Entry* best = nullptr;
-  double best_delta = 0.0;
-  size_t probed = 0;
   std::vector<int64_t> coord = lo;
   for (;;) {
     uint64_t h = 0xcbf29ce484222325ULL ^ d;
@@ -122,20 +127,10 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
     auto cell_it = g.grid.find(h);
     if (cell_it != g.grid.end()) {
       for (int32_t idx : cell_it->second) {
-        if (config_.max_probe > 0 && probed >= config_.max_probe) break;
-        ++probed;
-        const Entry* e = g.entries[static_cast<size_t>(idx)].get();
-        const query::Query& eq = e->answer.q;
-        if (eq.dimension() != d) continue;
-        if (eq == q) {
-          *delta_out = 1.0;
-          return e;
-        }
-        if (!query::Overlaps(q, eq)) continue;
-        const double delta = query::DegreeOfOverlap(q, eq);
-        if (delta >= config_.delta_min && delta > best_delta) {
-          best = e;
-          best_delta = delta;
+        const Slot& s = g.slots[static_cast<size_t>(idx)];
+        if (Consider(q, s.answer.q, idx, s.seq, config_.delta_min, &best)) {
+          *delta_out = best.delta;
+          return best.idx;
         }
       }
     }
@@ -147,37 +142,16 @@ const AnswerCache::Entry* AnswerCache::FindBest(const GroupSnapshot& g,
     }
     if (j == d) break;
   }
-  *delta_out = best_delta;
-  return best;
+  *delta_out = best.delta;
+  return best.idx;
 }
 
 bool AnswerCache::Lookup(const std::string& group_key, const query::Query& q,
                          CachedAnswer* out) {
   Shard& shard = ShardFor(group_key);
-  if (config_.mutex_reader_baseline) {
-    // Bench/testing baseline only: serialize readers like the pre-epoch
-    // cache. The branch (instead of a conditionally-engaged lock object)
-    // keeps the scoped acquire/release provable by the thread-safety
-    // analysis.
-    util::MutexLock baseline_lock(&shard.mu);
-    return LookupImpl(shard, group_key, q, out);
-  }
-  return LookupImpl(shard, group_key, q, out);
-}
-
-bool AnswerCache::LookupImpl(Shard& shard, const std::string& group_key,
-                             const query::Query& q, CachedAnswer* out) {
   shard.lookups.fetch_add(1, std::memory_order_relaxed);
-  // The whole read runs against this immutable snapshot; holding the
-  // shared_ptr keeps every entry alive even if writers publish (or erase)
-  // newer generations meanwhile.
-  const SnapshotPtr snap =
-      std::atomic_load_explicit(&shard.snap, std::memory_order_acquire);
-  const GroupSnapshot* g = nullptr;
-  if (snap != nullptr) {
-    auto it = snap->groups.find(group_key);
-    if (it != snap->groups.end()) g = it->second.get();
-  }
+  util::ReaderMutexLock lock(&shard.mu);
+  const Group* g = FindGroup(shard, group_key);
   if (g == nullptr) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -185,137 +159,128 @@ bool AnswerCache::LookupImpl(Shard& shard, const std::string& group_key,
 
   double best_delta = 0.0;
   bool used_grid = false;
-  const Entry* best = FindBest(*g, q, &best_delta, &used_grid);
+  const int32_t best = FindBest(*g, q, &best_delta, &used_grid);
   (used_grid ? shard.grid_probes : shard.linear_probes)
       .fetch_add(1, std::memory_order_relaxed);
-  if (best == nullptr) {
+  if (best < 0) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   shard.hits.fetch_add(1, std::memory_order_relaxed);
+  const size_t idx = static_cast<size_t>(best);
   if (out != nullptr) {
-    *out = best->answer;
+    *out = g->slots[idx].answer;
     out->delta = best_delta;
   }
-  // LRU touch: a monotone ticket stamp on the (snapshot-shared) entry, so
-  // writers pick eviction victims by minimum stamp. Replaces the list
-  // splice of the locked design — readers mutate nothing structural.
-  best->last_used.store(shard.ticket.fetch_add(1, std::memory_order_relaxed),
-                        std::memory_order_relaxed);
+  // LRU touch: readers share the lock, so the stamp is the only thing they
+  // write; Insert picks the victim by minimum stamp.
+  g->stamps[idx].ticket.store(
+      shard.ticket.fetch_add(1, std::memory_order_relaxed),
+      std::memory_order_relaxed);
   return true;
 }
 
 void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
   Shard& shard = ShardFor(group_key);
-  util::MutexLock lock(&shard.mu);
-  const SnapshotPtr cur =
-      std::atomic_load_explicit(&shard.snap, std::memory_order_acquire);
+  util::WriterMutexLock lock(&shard.mu);
+  Group& g = shard.groups[group_key];
 
-  auto next = std::make_shared<ShardSnapshot>();
-  if (cur != nullptr) next->groups = cur->groups;  // Other groups shared.
-
-  auto g = std::make_shared<GroupSnapshot>();
-  auto old_it = next->groups.find(group_key);
-  if (old_it != next->groups.end()) {
-    const GroupSnapshot& old = *old_it->second;
-    g->entries = old.entries;  // Pointer-sized copies; entries are shared.
-    g->cell = old.cell;
-    g->theta_max = old.theta_max;
-  }
-
-  if (config_.enable_grid && g->cell <= 0.0) {
+  const query::Query& q = answer.q;
+  if (g.cell <= 0.0) {
     // Cell edge fixed from the first cached ball: matches the typical probe
     // radius (1 - δ_min)·2θ so hits probe O(3^d ∩ max_grid_cells) cells.
-    double base = (1.0 - config_.delta_min) * 2.0 * answer.q.theta;
-    if (base <= 1e-12) base = answer.q.theta;
+    double base = (1.0 - config_.delta_min) * 2.0 * q.theta;
+    if (base <= 1e-12) base = q.theta;
     if (base <= 1e-12) base = 1.0;
-    g->cell = base;
+    g.cell = base;
   }
-  g->theta_max = std::max(g->theta_max, answer.q.theta);
-
+  g.theta_max = std::max(g.theta_max, q.theta);
   const uint64_t stamp = shard.ticket.fetch_add(1, std::memory_order_relaxed);
-  auto entry = std::make_shared<const Entry>(std::move(answer), stamp);
+  const uint64_t cell = CellHash(q.center.data(), q.dimension(), g.cell);
 
-  // Replace an exact-duplicate query in place (keeps the group canonical).
-  // Writers own the group copy, so a plain scan over ≤ capacity entries is
-  // fine here — the grid only accelerates the reader path.
-  bool replaced = false;
-  for (size_t i = 0; i < g->entries.size(); ++i) {
-    if (g->entries[i]->answer.q == entry->answer.q) {
-      g->entries.erase(g->entries.begin() + static_cast<int64_t>(i));
-      g->entries.insert(g->entries.begin(), entry);
-      replaced = true;
-      break;
+  // An exact-duplicate query shares the new center's cell: replace its
+  // answer in place (keeps the group canonical).
+  auto cell_it = g.grid.find(cell);
+  if (cell_it != g.grid.end()) {
+    for (int32_t idx : cell_it->second) {
+      Slot& s = g.slots[static_cast<size_t>(idx)];
+      if (s.answer.q == q) {
+        s.answer = std::move(answer);
+        s.seq = stamp;
+        g.stamps[static_cast<size_t>(idx)].ticket.store(
+            stamp, std::memory_order_relaxed);
+        return;
+      }
     }
   }
-  if (!replaced) {
-    g->entries.insert(g->entries.begin(), entry);
+
+  shard.inserts.fetch_add(1, std::memory_order_relaxed);
+  size_t idx = g.slots.size();
+  if (idx < config_.capacity_per_shard) {
+    g.slots.push_back(Slot{std::move(answer), stamp, cell});
+    g.stamps.emplace_back(stamp);
     shard.size.fetch_add(1, std::memory_order_relaxed);
-    shard.inserts.fetch_add(1, std::memory_order_relaxed);
-    if (g->entries.size() > config_.capacity_per_shard) {
-      // Evict the minimum LRU stamp: exact LRU, since every insert and
-      // every hit draws a fresh monotone ticket.
-      size_t victim = 0;
-      uint64_t victim_stamp = g->entries[0]->last_used.load(std::memory_order_relaxed);
-      for (size_t i = 1; i < g->entries.size(); ++i) {
-        const uint64_t s = g->entries[i]->last_used.load(std::memory_order_relaxed);
-        if (s < victim_stamp) {
-          victim_stamp = s;
-          victim = i;
-        }
+  } else {
+    // Evict the minimum LRU stamp: exact LRU, since every insert and every
+    // hit draws a fresh monotone ticket.
+    idx = 0;
+    uint64_t victim_stamp = g.stamps[0].ticket.load(std::memory_order_relaxed);
+    for (size_t i = 1; i < g.stamps.size(); ++i) {
+      const uint64_t s = g.stamps[i].ticket.load(std::memory_order_relaxed);
+      if (s < victim_stamp) {
+        victim_stamp = s;
+        idx = i;
       }
-      const double victim_theta = g->entries[victim]->answer.q.theta;
-      g->entries.erase(g->entries.begin() + static_cast<int64_t>(victim));
-      shard.size.fetch_sub(1, std::memory_order_relaxed);
-      shard.evictions.fetch_add(1, std::memory_order_relaxed);
-      // Don't let one evicted large-θ outlier pin the probe radius (and with
-      // it the grid fallback) forever: re-derive the maximum when it leaves.
-      if (victim_theta >= g->theta_max) {
-        g->theta_max = 0.0;
-        for (const EntryPtr& e : g->entries) {
-          g->theta_max = std::max(g->theta_max, e->answer.q.theta);
-        }
+    }
+    Slot& victim = g.slots[idx];
+    const double victim_theta = victim.answer.q.theta;
+    auto victim_cell = g.grid.find(victim.cell);
+    std::vector<int32_t>& members = victim_cell->second;
+    *std::find(members.begin(), members.end(), static_cast<int32_t>(idx)) =
+        members.back();
+    members.pop_back();
+    if (members.empty()) g.grid.erase(victim_cell);
+
+    victim.answer = std::move(answer);
+    victim.seq = stamp;
+    victim.cell = cell;
+    g.stamps[idx].ticket.store(stamp, std::memory_order_relaxed);
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    // Don't let one evicted large-θ outlier pin the probe radius (and with
+    // it the grid fallback) forever: re-derive the maximum when it leaves.
+    if (victim_theta >= g.theta_max) {
+      g.theta_max = 0.0;
+      for (const Slot& s : g.slots) {
+        g.theta_max = std::max(g.theta_max, s.answer.q.theta);
       }
     }
   }
-  RebuildGrid(g.get());
-
-  next->groups[group_key] = std::move(g);
-  std::atomic_store_explicit(&shard.snap, SnapshotPtr(std::move(next)),
-                             std::memory_order_release);
+  g.grid[cell].push_back(static_cast<int32_t>(idx));
 }
 
 size_t AnswerCache::EraseGroupsWithPrefix(const std::string& group_prefix) {
   size_t erased = 0;
   for (auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    const SnapshotPtr cur =
-        std::atomic_load_explicit(&shard->snap, std::memory_order_acquire);
-    if (cur == nullptr) continue;
-    size_t erased_here = 0;
-    auto next = std::make_shared<ShardSnapshot>();
-    for (const auto& kv : cur->groups) {
-      if (kv.first.compare(0, group_prefix.size(), group_prefix) == 0) {
-        erased_here += kv.second->entries.size();
+    util::WriterMutexLock lock(&shard->mu);
+    for (auto it = shard->groups.begin(); it != shard->groups.end();) {
+      if (it->first.compare(0, group_prefix.size(), group_prefix) == 0) {
+        const size_t n = it->second.slots.size();
+        shard->size.fetch_sub(static_cast<int64_t>(n),
+                              std::memory_order_relaxed);
+        erased += n;
+        it = shard->groups.erase(it);
       } else {
-        next->groups.insert(kv);
+        ++it;
       }
     }
-    if (erased_here == 0) continue;
-    shard->size.fetch_sub(static_cast<int64_t>(erased_here),
-                          std::memory_order_relaxed);
-    erased += erased_here;
-    std::atomic_store_explicit(&shard->snap, SnapshotPtr(std::move(next)),
-                               std::memory_order_release);
   }
   return erased;
 }
 
 void AnswerCache::Clear() {
   for (auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    std::atomic_store_explicit(&shard->snap, SnapshotPtr(),
-                               std::memory_order_release);
+    util::WriterMutexLock lock(&shard->mu);
+    shard->groups.clear();
     shard->size.store(0, std::memory_order_relaxed);
   }
 }
@@ -340,6 +305,15 @@ size_t AnswerCache::size() const {
     total += shard->size.load(std::memory_order_relaxed);
   }
   return static_cast<size_t>(total);
+}
+
+size_t AnswerCache::grid_cells_for_testing() const {
+  size_t cells = 0;
+  for (const auto& shard : shards_) {
+    util::ReaderMutexLock lock(&shard->mu);
+    for (const auto& kv : shard->groups) cells += kv.second.grid.size();
+  }
+  return cells;
 }
 
 }  // namespace service

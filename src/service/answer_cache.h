@@ -9,30 +9,30 @@
 // for hit rate: δ_min = 1 caches only exact repeats; δ_min → 0 admits any
 // overlapping neighbour.
 //
-// Concurrency & lookup cost:
+// Concurrency & cost:
 //   - Entries live in per-key *groups* (the router keys by "dataset/kind"),
-//     evicted LRU per group; groups are hashed over `num_shards` shards.
-//   - Reads are wait-free: each shard epoch-publishes an immutable snapshot
-//     of its groups (entries + per-group probe grid). Lookup loads the
-//     current snapshot with one atomic acquire, probes it without taking
-//     any lock, and records the LRU touch as an atomic ticket stamp on the
-//     hit entry. A concurrent writer can only swing the snapshot pointer to
-//     a *new* fully-built snapshot, so readers never observe a torn entry —
-//     there is nothing to retry and nothing to block on.
-//   - Writers (Insert / EraseGroupsWithPrefix / Clear) still serialize on
-//     the shard mutex, copy-on-write the touched group (entry handles are
-//     shared, so the copy is pointer-sized per entry), and publish the next
-//     snapshot generation with one atomic release store. This trades O(group)
-//     writer-side copying for zero reader-side coordination — the right side
-//     of the bargain for the write-light production workload.
+//     evicted LRU per group; groups are hashed over `num_shards` shards,
+//     each guarded by one reader/writer lock.
+//   - Lookup holds its shard's lock shared: readers of one shard run in
+//     parallel and only wait while a writer of that same shard is inside
+//     its critical section. A hit copies the answer out and records the LRU
+//     touch as an atomic ticket stamp on the hit slot.
+//   - Insert holds the lock exclusively and edits the group in place. A
+//     group is a slot array plus a parallel, contiguous LRU stamp array and
+//     a probe grid (cell → slot indices). An exact-duplicate query is found
+//     through the new center's grid cell and overwritten; otherwise the
+//     entry takes a fresh slot or, at capacity, the slot of the minimum
+//     stamp (exact LRU: every insert and every hit draws a fresh ticket),
+//     and only the two affected grid cells change. Nothing the size of the
+//     group is copied or rebuilt per insert.
 //   - Hit/miss/insert counters are per-shard atomics, so they stay exact
 //     under any reader/writer interleaving.
-//   - Within a group, cached query centers are bucketed on a uniform grid.
-//     Since admission requires ||x - x'|| ≤ (1 - δ_min)(θ + θ'), a lookup
+//   - Since admission requires ||x - x'|| ≤ (1 - δ_min)(θ + θ'), a lookup
 //     only probes the grid cells within that radius — O(neighbouring cells)
 //     instead of O(group) — and falls back to the linear probe whenever the
 //     cell fan-out would exceed the group size (small groups, high d). Both
-//     paths admit exactly the same entries.
+//     paths pick the same entry: an exact repeat wins outright, otherwise
+//     the highest δ, ties going to the most recently inserted entry.
 //
 // All operations are thread-safe.
 
@@ -63,11 +63,6 @@ struct AnswerCacheConfig {
   /// be reused. In [0, 1].
   double delta_min = 0.9;
 
-  /// Max entries probed per lookup; 0 probes every candidate. On the linear
-  /// path candidates are scanned newest-insert-first; on the grid path the
-  /// probe order is cell order. Bounds worst-case lookup cost.
-  size_t max_probe = 0;
-
   /// Lock shards the groups are hashed over. More shards = less contention
   /// between datasets/kinds; clamped to at least 1.
   size_t num_shards = 8;
@@ -79,12 +74,6 @@ struct AnswerCacheConfig {
   /// Grid lookups probing more than this many cells fall back to the linear
   /// probe (the grid only pays off when cells hold few entries each).
   size_t max_grid_cells = 64;
-
-  /// Bench/testing baseline: make Lookup serialize on the shard mutex like
-  /// the pre-epoch implementation, so the reader-scaling micro-bench can
-  /// measure mutex-vs-wait-free on the same build. Never enable in
-  /// production.
-  bool mutex_reader_baseline = false;
 };
 
 /// \brief The reusable payload of one cached answer (Q1 scalar and/or the
@@ -112,8 +101,8 @@ struct AnswerCacheStats {
   }
 };
 
-/// \brief Thread-safe sharded LRU cache with δ-overlap admission and
-/// wait-free (mutex-less) reads.
+/// \brief Thread-safe sharded LRU cache with δ-overlap admission; reads
+/// share a per-shard reader/writer lock, writes edit groups in place.
 class AnswerCache {
  public:
   explicit AnswerCache(AnswerCacheConfig config);
@@ -122,16 +111,16 @@ class AnswerCache {
   AnswerCache& operator=(const AnswerCache&) = delete;
 
   /// Probes the group for the cached query with the highest δ(q, ·) ≥ δ_min
-  /// among overlapping entries. On a hit fills `*out` (with `out->delta` set
-  /// to the achieved overlap degree), touches the entry's LRU stamp, and
-  /// returns true. Takes no mutex: reads run against the shard's current
-  /// immutable snapshot.
+  /// among overlapping entries (an exact repeat wins outright; equal δ goes
+  /// to the most recently inserted entry). On a hit fills `*out` (with
+  /// `out->delta` set to the achieved overlap degree), touches the entry's
+  /// LRU stamp, and returns true. Holds the shard lock shared.
   bool Lookup(const std::string& group, const query::Query& q,
               CachedAnswer* out);
 
   /// Caches an answer, evicting the group's least-recently-used entry beyond
   /// capacity. A second insert with an identical query replaces the previous
-  /// answer.
+  /// answer. A Lookup that starts after Insert returns sees the entry.
   void Insert(const std::string& group, CachedAnswer answer);
 
   void Clear();
@@ -140,53 +129,57 @@ class AnswerCache {
   /// number of cached entries dropped. The router uses this to invalidate a
   /// dataset's answers after a drift retrain: cache keys carry the model
   /// generation ("dataset/g<N>/kind"), so a generation swap already stops
-  /// stale entries from being served — this reclaims their memory. A lookup
-  /// concurrent with the erase may still serve the snapshot it already
-  /// loaded (the usual epoch-reclamation semantics).
+  /// stale entries from being served — this reclaims their memory.
   size_t EraseGroupsWithPrefix(const std::string& group_prefix);
 
   AnswerCacheStats stats() const;  ///< Aggregated over all shards.
   size_t size() const;             ///< Total entries across groups.
 
+  /// Probe-grid cells across all groups. Empty cells are dropped, so this
+  /// never exceeds size(); tests check that bound.
+  size_t grid_cells_for_testing() const;
+
   const AnswerCacheConfig& config() const { return config_; }
 
  private:
-  /// One immutable cached entry plus its mutable LRU ticket. Entries are
-  /// shared between consecutive snapshots, so a reader's ticket stamp is
-  /// visible to the writer that picks the eviction victim.
-  struct Entry {
+  /// One cached entry. `seq` is the shard ticket drawn when the entry was
+  /// inserted (the δ tie-break); `cell` is the grid key of its center.
+  struct Slot {
     CachedAnswer answer;
-    mutable std::atomic<uint64_t> last_used;
-
-    Entry(CachedAnswer a, uint64_t stamp)
-        : answer(std::move(a)), last_used(stamp) {}
+    uint64_t seq = 0;
+    uint64_t cell = 0;
   };
-  using EntryPtr = std::shared_ptr<const Entry>;
 
-  /// Immutable per-group state: entries newest-insert-first plus the probe
-  /// grid over entry centers (cell-coordinate hash → entry indices; hash
-  /// collisions merely merge cells — extra candidates, never missed ones).
-  struct GroupSnapshot {
-    std::vector<EntryPtr> entries;
+  /// LRU ticket of one slot. Readers stamp it under the shared lock, so it
+  /// is atomic; the copy constructor only runs while the stamp array grows
+  /// under the exclusive lock, when no reader can touch it.
+  struct Stamp {
+    mutable std::atomic<uint64_t> ticket;
+    explicit Stamp(uint64_t t) : ticket(t) {}
+    Stamp(const Stamp& other)
+        : ticket(other.ticket.load(std::memory_order_relaxed)) {}
+    Stamp& operator=(const Stamp&) = delete;
+  };
+
+  /// Per-group state, edited in place under the shard's exclusive lock.
+  /// `slots` and `stamps` are parallel arrays; every slot is live. The grid
+  /// maps a cell-coordinate hash to the indices of the slots whose centers
+  /// fall in it (hash collisions merely merge cells — extra candidates,
+  /// never missed ones); empty cells are dropped, so it holds at most one
+  /// cell per slot. It is maintained even with enable_grid off, because
+  /// Insert finds exact duplicates through it.
+  struct Group {
+    std::vector<Slot> slots;
+    std::vector<Stamp> stamps;
     std::unordered_map<uint64_t, std::vector<int32_t>> grid;
-    double cell = 0.0;       // Cell edge length; 0 until the first insert.
+    double cell = 0.0;       // Cell edge length, fixed by the first insert.
     double theta_max = 0.0;  // Largest cached θ (bounds the probe radius).
   };
-  using GroupPtr = std::shared_ptr<const GroupSnapshot>;
-
-  struct ShardSnapshot {
-    std::unordered_map<std::string, GroupPtr> groups;
-  };
-  using SnapshotPtr = std::shared_ptr<const ShardSnapshot>;
 
   struct Shard {
-    util::Mutex mu;  // Serializes writers only.
-    // Epoch-published via std::atomic_load/store: readers probe the current
-    // snapshot without `mu` by design (the wait-free read path above), so
-    // the pointer is deliberately *not* GUARDED_BY(mu) — writers hold `mu`
-    // only to serialize the copy-on-write against other writers.
-    SnapshotPtr snap;
-    std::atomic<uint64_t> ticket{1};  // LRU clock shared with readers.
+    util::SharedMutex mu;
+    std::unordered_map<std::string, Group> groups QREG_GUARDED_BY(mu);
+    std::atomic<uint64_t> ticket{1};  // LRU clock and insertion sequence.
     std::atomic<int64_t> size{0};
     std::atomic<int64_t> lookups{0};
     std::atomic<int64_t> hits{0};
@@ -199,21 +192,16 @@ class AnswerCache {
 
   Shard& ShardFor(const std::string& group) const;
 
+  /// The group stored under `key`, or null.
+  static const Group* FindGroup(const Shard& shard, const std::string& key)
+      QREG_REQUIRES_SHARED(shard.mu);
+
   uint64_t CellHash(const double* center, size_t d, double cell) const;
-  void RebuildGrid(GroupSnapshot* g) const;
 
-  /// Best admissible entry of an immutable group snapshot, or null. Sets
-  /// *delta_out and *used_grid (whether the grid path answered). The caller
-  /// keeps the snapshot alive for the duration.
-  const Entry* FindBest(const GroupSnapshot& g, const query::Query& q,
-                        double* delta_out, bool* used_grid) const;
-  const Entry* LinearProbe(const GroupSnapshot& g, const query::Query& q,
-                           double* delta_out) const;
-
-  /// The snapshot-probing body of Lookup(). Lock-free against `shard`; the
-  /// mutex_reader_baseline branch of Lookup() wraps it in the shard mutex.
-  bool LookupImpl(Shard& shard, const std::string& group_key,
-                  const query::Query& q, CachedAnswer* out);
+  /// Index of the best admissible slot of `g`, or -1. Sets *delta_out and
+  /// *used_grid (whether the grid path answered).
+  int32_t FindBest(const Group& g, const query::Query& q, double* delta_out,
+                   bool* used_grid) const;
 
   AnswerCacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;  // Fixed size after ctor.

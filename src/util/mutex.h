@@ -1,15 +1,17 @@
 // Annotated mutex primitives (DESIGN.md §13): thin wrappers over
-// std::mutex / std::condition_variable that carry the clang thread-safety
-// capability annotations from util/thread_annotations.h. All locking in
-// src/ goes through these types — tools/lint_invariants.py rejects raw
-// std::mutex outside src/util/ — so the -Wthread-safety CI build proves the
-// repo's lock discipline instead of documenting it.
+// std::mutex / std::shared_mutex / std::condition_variable that carry the
+// clang thread-safety capability annotations from util/thread_annotations.h.
+// All locking in src/ goes through these types — tools/lint_invariants.py
+// rejects the raw std primitives outside src/util/ — so the -Wthread-safety
+// CI build proves the repo's lock discipline instead of documenting it.
 //
 // The wrappers add no state and no behavior: Mutex is std::mutex, MutexLock
-// is a scoped lock (with an adopt constructor for try-lock paths), and
-// CondVar waits on a Mutex the caller already holds. Condition waits are
-// written as explicit while-loops at the call sites (not predicate lambdas)
-// because the analysis cannot see through a lambda's capture list.
+// is a scoped lock (with an adopt constructor for try-lock paths),
+// SharedMutex is std::shared_mutex held through the scoped ReaderMutexLock
+// (shared) or WriterMutexLock (exclusive), and CondVar waits on a Mutex the
+// caller already holds. Condition waits are written as explicit while-loops
+// at the call sites (not predicate lambdas) because the analysis cannot see
+// through a lambda's capture list.
 
 #ifndef QREG_UTIL_MUTEX_H_
 #define QREG_UTIL_MUTEX_H_
@@ -18,6 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -67,6 +70,53 @@ class QREG_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
+};
+
+/// \brief An annotated std::shared_mutex: many readers or one writer.
+/// Lock it through ReaderMutexLock / WriterMutexLock.
+class QREG_CAPABILITY("mutex") SharedMutex {
+ public:
+  SharedMutex() = default;
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() QREG_ACQUIRE() { mu_.lock(); }
+  void Unlock() QREG_RELEASE() { mu_.unlock(); }
+  void ReaderLock() QREG_ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void ReaderUnlock() QREG_RELEASE_SHARED() { mu_.unlock_shared(); }
+
+ private:
+  std::shared_mutex mu_;
+};
+
+/// \brief RAII shared (reader) lock over util::SharedMutex.
+class QREG_SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex* mu) QREG_ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_->ReaderLock();
+  }
+  ~ReaderMutexLock() QREG_RELEASE() { mu_->ReaderUnlock(); }
+
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+
+ private:
+  SharedMutex* mu_;
+};
+
+/// \brief RAII exclusive (writer) lock over util::SharedMutex.
+class QREG_SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex* mu) QREG_ACQUIRE(mu) : mu_(mu) {
+    mu_->Lock();
+  }
+  ~WriterMutexLock() QREG_RELEASE() { mu_->Unlock(); }
+
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+
+ private:
+  SharedMutex* mu_;
 };
 
 /// \brief Condition variable paired with util::Mutex. Every wait requires

@@ -11,10 +11,11 @@
 // Conventions (see util/mutex.h for the annotated primitives):
 //   - Every mutex-guarded field carries QREG_GUARDED_BY(mu).
 //   - Private helpers that assume a lock is held carry QREG_REQUIRES(mu)
-//     instead of re-locking.
+//     (or QREG_REQUIRES_SHARED(mu) when reading under a util::SharedMutex
+//     reader lock) instead of re-locking.
 //   - Try-lock paths adopt via MutexLock's adopt constructor so the scoped
 //     release is still proven.
-//   - Deliberate lock-free reads (epoch-published snapshots, racy hints
+//   - Deliberate lock-free reads (atomically published pointers, racy hints
 //     formalized by a comment) are isolated in tiny accessors marked
 //     QREG_NO_THREAD_SAFETY_ANALYSIS with the happens-before argument
 //     written next to them.
@@ -52,13 +53,25 @@
 #define QREG_REQUIRES(...) \
   QREG_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
+/// Caller must hold the capability at least shared (reader) mode.
+#define QREG_REQUIRES_SHARED(...) \
+  QREG_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
+
 /// Function acquires the capability and holds it on return.
 #define QREG_ACQUIRE(...) \
   QREG_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
+/// Function acquires the capability in shared (reader) mode.
+#define QREG_ACQUIRE_SHARED(...) \
+  QREG_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
+
 /// Function releases a held capability.
 #define QREG_RELEASE(...) \
   QREG_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
+
+/// Function releases a capability held in shared (reader) mode.
+#define QREG_RELEASE_SHARED(...) \
+  QREG_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability iff it returns `result`.
 #define QREG_TRY_ACQUIRE(result, ...) \

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -341,46 +342,6 @@ TEST(AnswerCacheShardingTest, ShardCountDoesNotChangeBehavior) {
   EXPECT_EQ(sa.evictions, sb.evictions);
 }
 
-// Regression for the Lookup() → LookupImpl() split (the mutex_reader_baseline
-// branch now wraps the shared probe body in the shard mutex instead of
-// conditionally engaging a lock around it): both reader modes must produce
-// identical hits, payloads, and stats on an identical op sequence.
-TEST(AnswerCacheShardingTest, MutexReaderBaselineMatchesLockFreeReader) {
-  AnswerCacheConfig lock_free;
-  lock_free.delta_min = 0.8;
-  lock_free.capacity_per_shard = 16;
-  lock_free.num_shards = 4;
-  AnswerCacheConfig baseline = lock_free;
-  baseline.mutex_reader_baseline = true;
-  AnswerCache a(lock_free), b(baseline);
-
-  const std::vector<std::string> groups = {"ds1/Q1", "ds1/Q2", "ds2/Q1"};
-  const std::vector<query::Query> qs = RandomQueries(300, 97);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    const std::string& g = groups[i % groups.size()];
-    CachedAnswer out_a, out_b;
-    const bool hit_a = a.Lookup(g, qs[i], &out_a);
-    const bool hit_b = b.Lookup(g, qs[i], &out_b);
-    ASSERT_EQ(hit_a, hit_b) << "query " << i;
-    if (hit_a) {
-      EXPECT_EQ(out_a.mean, out_b.mean) << "query " << i;
-      EXPECT_EQ(out_a.delta, out_b.delta) << "query " << i;
-    } else {
-      CachedAnswer ins;
-      ins.q = qs[i];
-      ins.mean = static_cast<double>(i);
-      a.Insert(g, ins);
-      b.Insert(g, ins);
-    }
-  }
-  EXPECT_EQ(a.size(), b.size());
-  const AnswerCacheStats sa = a.stats(), sb = b.stats();
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.inserts, sb.inserts);
-  EXPECT_EQ(sa.evictions, sb.evictions);
-}
-
 TEST(AnswerCacheGridTest, GridLookupMatchesLinearProbeAdmissions) {
   // The satellite contract: the spatial-grid δ-lookup admits exactly the
   // entries the linear probe admits, with the same best-δ choice.
@@ -467,10 +428,292 @@ TEST(AnswerCacheGridTest, EvictedOutlierThetaDoesNotPinProbeRadius) {
   EXPECT_GT(cache.stats().grid_probes, 0);
 }
 
-// ---------- AnswerCache: wait-free reads under concurrent writes ----------
+TEST(AnswerCacheGridTest, EqualDeltaTieGoesToNewestInsert) {
+  // Two cached balls sit symmetrically around the probe, so their δ is
+  // exactly equal (all coordinates are exact binary fractions). The newer
+  // insertion must win on both probe paths, whichever order the two were
+  // inserted in.
+  for (bool grid : {true, false}) {
+    AnswerCacheConfig cfg;
+    cfg.delta_min = 0.8;
+    cfg.capacity_per_shard = 64;
+    cfg.enable_grid = grid;
+    AnswerCache cache(cfg);
+    // Far-away fillers make the group big enough for the grid path to pay.
+    for (int i = 0; i < 40; ++i) {
+      CachedAnswer filler;
+      filler.q = query::Query({100.0 + 4.0 * i, 0.5}, 1.0);
+      filler.mean = -1.0;
+      cache.Insert("old_right", filler);
+      cache.Insert("old_up", filler);
+    }
+    CachedAnswer right;
+    right.q = query::Query({0.75, 0.5}, 1.0);
+    right.mean = 1.0;
+    CachedAnswer up;
+    up.q = query::Query({0.5, 0.75}, 1.0);
+    up.mean = 2.0;
+    cache.Insert("old_right", right);  // `up` is newer here...
+    cache.Insert("old_right", up);
+    cache.Insert("old_up", up);  // ...and `right` is newer here.
+    cache.Insert("old_up", right);
 
-// Readers hammer Lookup (no mutex on that path: one atomic snapshot load)
-// while a writer interleaves Insert and EraseGroupsWithPrefix. Every hit
+    const query::Query probe({0.5, 0.5}, 1.0);
+    CachedAnswer out;
+    ASSERT_TRUE(cache.Lookup("old_right", probe, &out)) << "grid=" << grid;
+    EXPECT_EQ(out.mean, 2.0) << "grid=" << grid;
+    EXPECT_EQ(out.delta, 0.875) << "grid=" << grid;
+    ASSERT_TRUE(cache.Lookup("old_up", probe, &out)) << "grid=" << grid;
+    EXPECT_EQ(out.mean, 1.0) << "grid=" << grid;
+    EXPECT_EQ(out.delta, 0.875) << "grid=" << grid;
+
+    // Re-inserting an exact duplicate counts as a new insertion: the
+    // replaced `right` is now the newer of the two in "old_right".
+    cache.Insert("old_right", right);
+    ASSERT_TRUE(cache.Lookup("old_right", probe, &out)) << "grid=" << grid;
+    EXPECT_EQ(out.mean, 1.0) << "grid=" << grid;
+    EXPECT_EQ(cache.stats().grid_probes, grid ? 3 : 0);
+  }
+}
+
+// ---------- AnswerCache: differential test against a reference model ----------
+
+// The cache's contract restated as the plainest possible code: one vector
+// per group, a linear δ-probe (exact repeat wins, then highest δ, then
+// newest insert), min-stamp LRU and replace-on-duplicate. It also predicts
+// which probe path the cache reports, from the documented rule: the cell
+// edge fixed by a group's first insert, its largest cached θ and its size.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const AnswerCacheConfig& cfg) : cfg_(cfg) {}
+
+  bool Lookup(const std::string& key, const query::Query& q, CachedAnswer* out) {
+    ++stats_.lookups;
+    auto it = groups_.find(key);
+    if (it == groups_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    Group& g = it->second;
+    ++(UsesGrid(g, q) ? stats_.grid_probes : stats_.linear_probes);
+    Entry* best = nullptr;
+    double best_delta = 0.0;
+    for (Entry& e : g.entries) {
+      if (e.answer.q == q) {
+        best = &e;
+        best_delta = 1.0;
+        break;
+      }
+      if (!query::Overlaps(q, e.answer.q)) continue;
+      const double delta = query::DegreeOfOverlap(q, e.answer.q);
+      if (delta < cfg_.delta_min) continue;
+      if (delta > best_delta ||
+          (best != nullptr && delta == best_delta && e.seq > best->seq)) {
+        best = &e;
+        best_delta = delta;
+      }
+    }
+    if (best == nullptr) {
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    *out = best->answer;
+    out->delta = best_delta;
+    best->stamp = clock_++;
+    return true;
+  }
+
+  void Insert(const std::string& key, const CachedAnswer& a) {
+    auto inserted = groups_.try_emplace(key);
+    Group& g = inserted.first->second;
+    if (inserted.second) {
+      g.cell = (1.0 - cfg_.delta_min) * 2.0 * a.q.theta;
+      if (g.cell <= 1e-12) g.cell = a.q.theta;
+      if (g.cell <= 1e-12) g.cell = 1.0;
+    }
+    const uint64_t now = clock_++;
+    for (Entry& e : g.entries) {
+      if (e.answer.q == a.q) {
+        e = Entry{a, now, now};
+        return;
+      }
+    }
+    ++stats_.inserts;
+    if (g.entries.size() == cfg_.capacity_per_shard) {
+      g.entries.erase(std::min_element(
+          g.entries.begin(), g.entries.end(),
+          [](const Entry& x, const Entry& y) { return x.stamp < y.stamp; }));
+      ++stats_.evictions;
+    }
+    g.entries.push_back(Entry{a, now, now});
+  }
+
+  size_t EraseGroupsWithPrefix(const std::string& prefix) {
+    size_t erased = 0;
+    for (auto it = groups_.begin(); it != groups_.end();) {
+      if (it->first.compare(0, prefix.size(), prefix) == 0) {
+        erased += it->second.entries.size();
+        it = groups_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return erased;
+  }
+
+  void Clear() { groups_.clear(); }
+
+  size_t size() const {
+    size_t n = 0;
+    for (const auto& kv : groups_) n += kv.second.entries.size();
+    return n;
+  }
+
+  const AnswerCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    CachedAnswer answer;
+    uint64_t seq;    // Clock at insertion: the equal-δ tie-break.
+    uint64_t stamp;  // Clock at the last insert or hit: LRU order.
+  };
+  struct Group {
+    std::vector<Entry> entries;
+    double cell = 0.0;
+  };
+
+  bool UsesGrid(const Group& g, const query::Query& q) const {
+    if (!cfg_.enable_grid || q.dimension() == 0) return false;
+    double theta_max = 0.0;
+    for (const Entry& e : g.entries) {
+      theta_max = std::max(theta_max, e.answer.q.theta);
+    }
+    const double radius = (1.0 - cfg_.delta_min) * (q.theta + theta_max);
+    size_t cells = 1;
+    for (double c : q.center) {
+      const auto lo = static_cast<int64_t>(std::floor((c - radius) / g.cell));
+      const auto hi = static_cast<int64_t>(std::floor((c + radius) / g.cell));
+      const auto span = static_cast<size_t>(hi - lo) + 1;
+      if (span > cfg_.max_grid_cells) return false;
+      cells *= span;
+      if (cells > cfg_.max_grid_cells) return false;
+    }
+    return cells < g.entries.size();
+  }
+
+  AnswerCacheConfig cfg_;
+  std::map<std::string, Group> groups_;
+  uint64_t clock_ = 1;
+  AnswerCacheStats stats_;
+};
+
+void ExpectSameStats(const AnswerCacheStats& got, const AnswerCacheStats& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.lookups, want.lookups) << where;
+  EXPECT_EQ(got.hits, want.hits) << where;
+  EXPECT_EQ(got.misses, want.misses) << where;
+  EXPECT_EQ(got.inserts, want.inserts) << where;
+  EXPECT_EQ(got.evictions, want.evictions) << where;
+  EXPECT_EQ(got.grid_probes, want.grid_probes) << where;
+  EXPECT_EQ(got.linear_probes, want.linear_probes) << where;
+}
+
+// A seeded stream of mixed operations against the real cache and the
+// reference, at capacities small enough that evictions, slot reuse and grid
+// cell removal happen on nearly every insert. After every op the two must
+// agree on the result, the payload, δ, size() and every counter, and the
+// probe grid must hold no more cells than the cache holds entries.
+TEST(AnswerCacheDifferentialTest, MatchesReferenceModel) {
+  const std::vector<std::string> groups = {"a/g0/Q1", "a/g0/Q2", "b/g0/Q1"};
+  const std::vector<std::string> prefixes = {"a/", "a/g0/Q2", "b/", "zzz"};
+  for (size_t capacity : {1, 2, 8}) {
+    for (bool grid : {true, false}) {
+      AnswerCacheConfig cfg;
+      cfg.delta_min = 0.8;
+      cfg.capacity_per_shard = capacity;
+      cfg.num_shards = 2;
+      cfg.enable_grid = grid;
+      AnswerCache cache(cfg);
+      ReferenceCache ref(cfg);
+      util::Rng rng(1000 + capacity * 2 + (grid ? 1 : 0));
+
+      // Queries jitter around a few hot centers so probes hit often; a
+      // window of recent queries feeds exact repeats and duplicate inserts.
+      std::vector<query::Query> recent;
+      auto fresh_query = [&rng] {
+        const double cx = 0.2 + 0.15 * static_cast<double>(rng.UniformInt(5));
+        const double cy = 0.3 + 0.2 * static_cast<double>(rng.UniformInt(3));
+        return query::Query(
+            {cx + rng.Uniform(-0.02, 0.02), cy + rng.Uniform(-0.02, 0.02)},
+            rng.Uniform(0.08, 0.12));
+      };
+      auto pick_query = [&] {
+        if (!recent.empty() && rng.Uniform() < 0.3) {
+          return recent[rng.UniformInt(recent.size())];
+        }
+        return fresh_query();
+      };
+
+      for (int op = 0; op < 4000; ++op) {
+        const std::string where = "capacity=" + std::to_string(capacity) +
+                                  " grid=" + std::to_string(grid) +
+                                  " op=" + std::to_string(op);
+        const std::string& group = groups[rng.UniformInt(groups.size())];
+        const double roll = rng.Uniform();
+        if (roll < 0.47) {
+          const query::Query q = pick_query();
+          CachedAnswer got, want;
+          const bool hit = cache.Lookup(group, q, &got);
+          ASSERT_EQ(hit, ref.Lookup(group, q, &want)) << where;
+          if (hit) {
+            EXPECT_EQ(got.q, want.q) << where;
+            EXPECT_EQ(got.mean, want.mean) << where;
+            EXPECT_EQ(got.delta, want.delta) << where;
+            ASSERT_EQ(got.pieces.size(), want.pieces.size()) << where;
+            for (size_t k = 0; k < got.pieces.size(); ++k) {
+              EXPECT_EQ(got.pieces[k].intercept, want.pieces[k].intercept)
+                  << where;
+            }
+          }
+        } else if (roll < 0.95) {
+          CachedAnswer a;
+          a.q = pick_query();
+          a.mean = static_cast<double>(op);
+          a.pieces.resize(rng.UniformInt(3));
+          for (auto& piece : a.pieces) piece.intercept = rng.Uniform();
+          cache.Insert(group, a);
+          ref.Insert(group, a);
+          recent.push_back(a.q);
+          if (recent.size() > 16) recent.erase(recent.begin());
+        } else if (roll < 0.99) {
+          const std::string& prefix = prefixes[rng.UniformInt(prefixes.size())];
+          ASSERT_EQ(cache.EraseGroupsWithPrefix(prefix),
+                    ref.EraseGroupsWithPrefix(prefix))
+              << where;
+        } else {
+          cache.Clear();
+          ref.Clear();
+        }
+        ASSERT_EQ(cache.size(), ref.size()) << where;
+        ASSERT_LE(cache.grid_cells_for_testing(), cache.size()) << where;
+        ExpectSameStats(cache.stats(), ref.stats(), where);
+        if (HasFailure()) return;
+      }
+      const AnswerCacheStats stats = cache.stats();
+      EXPECT_GT(stats.hits, 100) << "capacity=" << capacity;
+      EXPECT_GT(stats.evictions, 100) << "capacity=" << capacity;
+      if (grid && capacity == 8) {
+        EXPECT_GT(stats.grid_probes, 0);
+      }
+    }
+  }
+}
+
+// ---------- AnswerCache: reads under concurrent writes ----------
+
+// Readers hammer Lookup (shared shard lock) while a writer interleaves
+// in-place Insert and EraseGroupsWithPrefix (exclusive shard lock). Every hit
 // must return an internally consistent entry — the payload invariant ties
 // mean, pieces and the query center together, so a torn read would trip it
 // — and the monotone counters must stay exact. Run under TSan by the CI
@@ -512,11 +755,13 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
   std::atomic<int64_t> reader_hits{0};
   std::atomic<int64_t> reader_lookups{0};
   std::atomic<bool> torn{false};
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&cache, &stop, &reader_hits, &reader_lookups, &torn,
-                          &check_consistent, r] {
+                          &started, &check_consistent, r] {
       util::Rng rng(static_cast<uint64_t>(1000 + r));
+      bool counted = false;
       while (!stop.load(std::memory_order_acquire)) {
         const std::string group = (r % 2 == 0) ? "ds/g0/Q1" : "ds/g0/Q2";
         const query::Query probe({0.01 * rng.UniformInt(32), 0.5}, 0.1);
@@ -526,12 +771,18 @@ TEST(AnswerCacheConcurrencyTest, LookupsNeverTornDuringInsertAndErase) {
           reader_hits.fetch_add(1, std::memory_order_relaxed);
           if (!check_consistent(out)) torn.store(true, std::memory_order_release);
         }
+        if (!counted) {
+          counted = true;
+          started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
 
   // Writer: replacement inserts, fresh inserts (forcing evictions), and
-  // periodic prefix erases racing the readers.
+  // periodic prefix erases racing the readers. It starts once every reader
+  // is running, or a fast writer could finish before any reader looked up.
+  while (started.load(std::memory_order_acquire) < 4) std::this_thread::yield();
   for (int round = 0; round < 60; ++round) {
     for (int i = 0; i < 32; ++i) {
       cache.Insert("ds/g0/Q1", make_answer(0.01 * i, 1 + ((i + round) % 4)));

@@ -6,10 +6,12 @@ so prose mentions don't trip the net):
 
   1. `errno` only in src/net/backend* — everything else goes through the
      SyscallIoError / SyscallInterrupted seam in net/backend_socket.h.
-  2. No raw std::mutex / std::condition_variable / std::lock_guard /
-     std::unique_lock / std::scoped_lock outside src/util/ — use the
-     annotated util::Mutex / util::MutexLock / util::CondVar wrappers so
-     clang's thread-safety analysis sees every acquisition.
+  2. No raw std::mutex / std::shared_mutex / std::condition_variable /
+     std::lock_guard / std::unique_lock / std::shared_lock /
+     std::scoped_lock outside src/util/ — use the annotated util::Mutex /
+     util::MutexLock / util::SharedMutex / util::ReaderMutexLock /
+     util::WriterMutexLock / util::CondVar wrappers so clang's
+     thread-safety analysis sees every acquisition.
   3. No poll( / epoll_* calls outside src/net/backend* — the event
      demultiplexer is a backend implementation detail behind EventBackend.
   4. util::Status and util::Result must stay class-level [[nodiscard]]
@@ -66,7 +68,8 @@ def strip_comments_and_strings(text):
 
 ERRNO_RE = re.compile(r"\berrno\b")
 RAW_SYNC_RE = re.compile(
-    r"std::(mutex|condition_variable|lock_guard|unique_lock|scoped_lock)\b"
+    r"std::(mutex|shared_mutex|shared_timed_mutex|condition_variable|"
+    r"lock_guard|unique_lock|shared_lock|scoped_lock)\b"
 )
 # Lookbehind keeps `epoll_wait(` and `ThreadPool(` from matching bare poll(.
 POLL_RE = re.compile(r"(?<![\w])poll\s*\(")
@@ -98,7 +101,8 @@ def check_file(path, violations):
         if not in_util(path) and RAW_SYNC_RE.search(line):
             violations.append(
                 f"{rel}:{lineno}: raw {RAW_SYNC_RE.search(line).group(0)} outside "
-                f"src/util/ (use util::Mutex/util::MutexLock/util::CondVar)"
+                f"src/util/ (use util::Mutex/util::MutexLock/util::SharedMutex/"
+                f"util::ReaderMutexLock/util::WriterMutexLock/util::CondVar)"
             )
         if not is_backend_file(path) and (
             POLL_RE.search(line) or EPOLL_RE.search(line)
