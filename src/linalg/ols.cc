@@ -57,6 +57,22 @@ void OlsAccumulator::AddBlock(const double* xs, const double* us,
   }
 }
 
+void OlsAccumulator::AddMoments(int64_t n, double sum_u, double sum_uu,
+                                const double* sum_x, const double* sum_xx,
+                                const double* sum_xu) {
+  n_ += n;
+  xtx_(0, 0) += static_cast<double>(n);
+  xtu_[0] += sum_u;
+  size_t k = 0;
+  for (size_t i = 0; i < d_; ++i) {
+    xtx_(0, i + 1) += sum_x[i];
+    xtu_[i + 1] += sum_xu[i];
+    for (size_t j = i; j < d_; ++j) xtx_(i + 1, j + 1) += sum_xx[k++];
+  }
+  utu_ += sum_uu;
+  usum_ += sum_u;
+}
+
 util::Status OlsAccumulator::Merge(const OlsAccumulator& other) {
   if (other.d_ != d_) {
     return util::Status::InvalidArgument("OlsAccumulator dimension mismatch");

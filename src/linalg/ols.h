@@ -62,6 +62,13 @@ class OlsAccumulator {
   void AddBlock(const double* xs, const double* us, const int32_t* sel,
                 int32_t count);
 
+  /// Adds the precomputed moments of `n` observations at once: Σu, Σu², Σx
+  /// (d values), the upper triangle of Σxxᵀ (row-major, i <= j; d(d+1)/2
+  /// values) and Σx·u (d values). Equal to Add() over those observations up
+  /// to floating-point reassociation, in O(d²).
+  void AddMoments(int64_t n, double sum_u, double sum_uu, const double* sum_x,
+                  const double* sum_xx, const double* sum_xu);
+
   /// Merges another accumulator of the same dimension (for partitioned scans).
   util::Status Merge(const OlsAccumulator& other);
 

@@ -7,13 +7,29 @@
 namespace qreg {
 namespace storage {
 
+namespace {
+
+// Nodes a median-split build over `rows` rows creates when every split
+// happens: the shape depends on the row count alone.
+size_t NodeCountBound(int32_t rows, int leaf_size) {
+  if (rows <= leaf_size) return 1;
+  const int32_t half = rows / 2;
+  return 1 + NodeCountBound(half, leaf_size) + NodeCountBound(rows - half, leaf_size);
+}
+
+}  // namespace
+
 KdTree::KdTree(const Table& table, int leaf_size)
     : table_(table), leaf_size_(std::max(1, leaf_size)) {
   const int64_t n = table_.num_rows();
   ids_.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) ids_[static_cast<size_t>(i)] = static_cast<int32_t>(i);
   if (n > 0) {
-    nodes_.reserve(static_cast<size_t>(2 * n / leaf_size_ + 2));
+    // Reserve the exact node count (a bound only when duplicate points stop
+    // a split early), so neither array over-allocates by regrowth.
+    const size_t max_nodes = NodeCountBound(static_cast<int32_t>(n), leaf_size_);
+    nodes_.reserve(max_nodes);
+    boxes_.reserve(max_nodes * 2 * table_.dimension());
     root_ = Build(0, static_cast<int32_t>(n));
     // Leaf-blocked re-layout: copy rows into permuted contiguous storage so
     // every subtree's [begin, end) range is one row-major span.
@@ -31,23 +47,57 @@ KdTree::KdTree(const Table& table, int leaf_size)
     // The build permutation is fully captured by row_ids_ now; release the
     // int32 scratch instead of carrying n dead entries for the tree's life.
     std::vector<int32_t>().swap(ids_);
+    ComputeSums();
   }
 }
 
-void KdTree::ComputeBox(Node* node) const {
+void KdTree::ComputeSums() {
+  // Nodes are numbered in preorder, so a reverse sweep meets both children
+  // before their parent: leaves sum their rows in row order, parents add
+  // their children's sums. One pass over the table, no per-node allocation.
   const size_t d = table_.dimension();
-  node->box_lo.assign(d, 0.0);
-  node->box_hi.assign(d, 0.0);
-  const double* first = table_.x(ids_[static_cast<size_t>(node->begin)]);
-  for (size_t j = 0; j < d; ++j) {
-    node->box_lo[j] = first[j];
-    node->box_hi[j] = first[j];
+  const size_t stride = SubtreeSums::Stride(d);
+  sums_.assign(nodes_.size() * stride, 0.0);
+  for (size_t i = nodes_.size(); i-- > 0;) {
+    const Node& node = nodes_[i];
+    double* s = &sums_[i * stride];
+    if (node.left >= 0) {
+      const double* l = &sums_[static_cast<size_t>(node.left) * stride];
+      const double* r = &sums_[static_cast<size_t>(node.right) * stride];
+      for (size_t k = 0; k < stride; ++k) s[k] = l[k] + r[k];
+      continue;
+    }
+    double* sx = s + 2;
+    double* sxx = sx + d;
+    double* sxu = sxx + d * (d + 1) / 2;
+    for (int32_t row = node.begin; row < node.end; ++row) {
+      const double* x = PermRow(row);
+      const double u = us_perm_[static_cast<size_t>(row)];
+      s[0] += u;
+      s[1] += u * u;
+      size_t k = 0;
+      for (size_t a = 0; a < d; ++a) {
+        sx[a] += x[a];
+        sxu[a] += x[a] * u;
+        for (size_t b = a; b < d; ++b) sxx[k++] += x[a] * x[b];
+      }
+    }
   }
-  for (int32_t i = node->begin + 1; i < node->end; ++i) {
+}
+
+void KdTree::ComputeBox(int32_t node_idx) {
+  const Node& node = nodes_[static_cast<size_t>(node_idx)];
+  const size_t d = table_.dimension();
+  double* lo = &boxes_[static_cast<size_t>(node_idx) * 2 * d];
+  double* hi = lo + d;
+  const double* first = table_.x(ids_[static_cast<size_t>(node.begin)]);
+  std::copy(first, first + d, lo);
+  std::copy(first, first + d, hi);
+  for (int32_t i = node.begin + 1; i < node.end; ++i) {
     const double* row = table_.x(ids_[static_cast<size_t>(i)]);
     for (size_t j = 0; j < d; ++j) {
-      if (row[j] < node->box_lo[j]) node->box_lo[j] = row[j];
-      if (row[j] > node->box_hi[j]) node->box_hi[j] = row[j];
+      if (row[j] < lo[j]) lo[j] = row[j];
+      if (row[j] > hi[j]) hi[j] = row[j];
     }
   }
 }
@@ -55,23 +105,21 @@ void KdTree::ComputeBox(Node* node) const {
 int32_t KdTree::Build(int32_t begin, int32_t end) {
   const int32_t node_idx = static_cast<int32_t>(nodes_.size());
   nodes_.emplace_back();
-  {
-    Node& node = nodes_.back();
-    node.begin = begin;
-    node.end = end;
-  }
-  // ComputeBox reads through ids_; safe to call with the node in place.
-  ComputeBox(&nodes_[static_cast<size_t>(node_idx)]);
+  nodes_.back().begin = begin;
+  nodes_.back().end = end;
+  const size_t d = table_.dimension();
+  boxes_.resize(boxes_.size() + 2 * d);
+  ComputeBox(node_idx);
 
   if (end - begin <= leaf_size_) return node_idx;
 
   // Split on the widest box dimension at the median.
-  const Node& node = nodes_[static_cast<size_t>(node_idx)];
-  const size_t d = table_.dimension();
+  const double* lo = BoxLo(node_idx);
+  const double* hi = BoxHi(node_idx);
   size_t split_dim = 0;
   double widest = -1.0;
   for (size_t j = 0; j < d; ++j) {
-    const double w = node.box_hi[j] - node.box_lo[j];
+    const double w = hi[j] - lo[j];
     if (w > widest) {
       widest = w;
       split_dim = j;
@@ -92,15 +140,19 @@ int32_t KdTree::Build(int32_t begin, int32_t end) {
   return node_idx;
 }
 
-void KdTree::BlockVisitNode(int32_t node_idx, const double* center,
-                            double radius, const LpNorm& norm,
-                            const BlockFilter& filter, BlockKernel* kernel,
-                            int64_t* examined, int64_t* matched) const {
+void KdTree::BlockVisitNode(int32_t node_idx, Visit* v) const {
   const Node& node = nodes_[static_cast<size_t>(node_idx)];
   const size_t d = table_.dimension();
-  if (norm.MinDistanceToBox(center, node.box_lo.data(), node.box_hi.data(), d) >
-      radius) {
+  const double* lo = BoxLo(node_idx);
+  const double* hi = BoxHi(node_idx);
+  if (v->norm->MinDistanceToBox(v->center, lo, hi, d) > v->radius) {
     return;  // Ball cannot intersect this subtree.
+  }
+  if (v->absorb && v->norm->BoxInsideBall(v->center, lo, hi, d, v->radius)) {
+    // Every row passes the filter: hand over the precomputed moments.
+    v->matched += node.end - node.begin;
+    v->kernel->OnSubtree(SumsOf(node_idx));
+    return;
   }
   if (node.left < 0) {  // Leaf: stream its contiguous span block-at-a-time.
     double scratch[kScanBlockRows];
@@ -109,9 +161,9 @@ void KdTree::BlockVisitNode(int32_t node_idx, const double* center,
       const int32_t rows = std::min<int32_t>(kScanBlockRows, node.end - b);
       const double* xs = PermRow(b);
       const int32_t count =
-          filter.Run(xs, rows, d, center, radius, sel, scratch);
-      *examined += rows;
-      *matched += count;
+          v->filter.Run(xs, rows, d, v->center, v->radius, sel, scratch);
+      v->examined += rows;
+      v->matched += count;
       if (count > 0) {
         BlockSpan span;
         span.xs = xs;
@@ -121,29 +173,31 @@ void KdTree::BlockVisitNode(int32_t node_idx, const double* center,
         span.count = count;
         span.rows = rows;
         span.d = d;
-        kernel->OnBlock(span);
+        v->kernel->OnBlock(span);
       }
     }
     return;
   }
-  BlockVisitNode(node.left, center, radius, norm, filter, kernel, examined,
-                 matched);
-  BlockVisitNode(node.right, center, radius, norm, filter, kernel, examined,
-                 matched);
+  BlockVisitNode(node.left, v);
+  BlockVisitNode(node.right, v);
+}
+
+void KdTree::RunVisit(int32_t node_idx, const double* center, double radius,
+                      const LpNorm& norm, BlockKernel* kernel,
+                      SelectionStats* stats) const {
+  Visit v{center, radius, &norm, SelectBlockFilter(norm, table_.dimension()),
+          kernel, kernel->wants_subtree_sums()};
+  BlockVisitNode(node_idx, &v);
+  if (stats != nullptr) {
+    stats->tuples_examined += v.examined;
+    stats->tuples_matched += v.matched;
+  }
 }
 
 void KdTree::BlockVisit(const double* center, double radius, const LpNorm& norm,
                         BlockKernel* kernel, SelectionStats* stats) const {
   if (root_ < 0) return;
-  const BlockFilter filter = SelectBlockFilter(norm, table_.dimension());
-  int64_t examined = 0;
-  int64_t matched = 0;
-  BlockVisitNode(root_, center, radius, norm, filter, kernel, &examined,
-                 &matched);
-  if (stats != nullptr) {
-    stats->tuples_examined += examined;
-    stats->tuples_matched += matched;
-  }
+  RunVisit(root_, center, radius, norm, kernel, stats);
 }
 
 void KdTree::BlockVisitPartition(const ScanPartition& part, const double* center,
@@ -151,21 +205,7 @@ void KdTree::BlockVisitPartition(const ScanPartition& part, const double* center
                                  BlockKernel* kernel,
                                  SelectionStats* stats) const {
   if (part.node < 0 || part.node >= static_cast<int32_t>(nodes_.size())) return;
-  const BlockFilter filter = SelectBlockFilter(norm, table_.dimension());
-  int64_t examined = 0;
-  int64_t matched = 0;
-  BlockVisitNode(part.node, center, radius, norm, filter, kernel, &examined,
-                 &matched);
-  if (stats != nullptr) {
-    stats->tuples_examined += examined;
-    stats->tuples_matched += matched;
-  }
-}
-
-void KdTree::RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                         const RowVisitor& visit, SelectionStats* stats) const {
-  RowVisitorBlockKernel adapter(visit);
-  BlockVisit(center, radius, norm, &adapter, stats);
+  RunVisit(part.node, center, radius, norm, kernel, stats);
 }
 
 std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
@@ -214,14 +254,6 @@ std::vector<ScanPartition> KdTree::MakePartitions(size_t target) const {
   return plan;
 }
 
-void KdTree::RadiusVisitPartition(const ScanPartition& part, const double* center,
-                                  double radius, const LpNorm& norm,
-                                  const RowVisitor& visit,
-                                  SelectionStats* stats) const {
-  RowVisitorBlockKernel adapter(visit);
-  BlockVisitPartition(part, center, radius, norm, &adapter, stats);
-}
-
 std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,
                                                const LpNorm& norm) const {
   std::vector<Neighbor> result;
@@ -242,7 +274,7 @@ std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,
     const double bound =
         (heap.size() == static_cast<size_t>(k)) ? heap.top().distance
                                                 : LpNorm::kInf;
-    if (norm.MinDistanceToBox(center, node.box_lo.data(), node.box_hi.data(), d) >
+    if (norm.MinDistanceToBox(center, BoxLo(node_idx), BoxHi(node_idx), d) >
         bound) {
       continue;
     }
@@ -260,10 +292,10 @@ std::vector<Neighbor> KdTree::NearestNeighbors(const double* center, int k,
       continue;
     }
     // Descend nearer child first so the bound shrinks early.
-    const Node& ln = nodes_[static_cast<size_t>(node.left)];
-    const Node& rn = nodes_[static_cast<size_t>(node.right)];
-    const double dl = norm.MinDistanceToBox(center, ln.box_lo.data(), ln.box_hi.data(), d);
-    const double dr = norm.MinDistanceToBox(center, rn.box_lo.data(), rn.box_hi.data(), d);
+    const double dl =
+        norm.MinDistanceToBox(center, BoxLo(node.left), BoxHi(node.left), d);
+    const double dr =
+        norm.MinDistanceToBox(center, BoxLo(node.right), BoxHi(node.right), d);
     if (dl <= dr) {
       stack.push_back(node.right);
       stack.push_back(node.left);

@@ -3,13 +3,22 @@
 // Supports radius (dNN) selection under any Lp norm — the paper's selection
 // operator — plus k-nearest-neighbour search used by tests and examples.
 // Nodes own contiguous index ranges; leaves hold up to `leaf_size` rows and
-// interior nodes keep their bounding boxes for Lp pruning.
+// every node keeps its bounding box for Lp pruning.
 //
 // Storage is leaf-blocked: after the build permutes the row order, the
 // feature rows and outputs are re-laid out into contiguous permuted arrays,
 // so every leaf (and every subtree-frontier partition) owns a contiguous
 // span of row-major storage. Radius selection streams those spans through
 // the branch-free block filter instead of pointer-chasing per-row ids.
+//
+// Subtree sums: every node also carries the moments of its rows (Σu, Σu²,
+// Σx, Σxxᵀ, Σx·u; see SubtreeSums), filled once at build. When a kernel
+// opts in and a node's box lies provably inside the ball
+// (LpNorm::BoxInsideBall), the kernel absorbs the node's sums in O(d²)
+// instead of streaming its rows; only the leaves that straddle the ball's
+// boundary are filtered row by row. Absorbed rows count as matched, not as
+// examined: SelectionStats::tuples_examined is the number of rows whose
+// distance was evaluated.
 
 #ifndef QREG_STORAGE_KDTREE_H_
 #define QREG_STORAGE_KDTREE_H_
@@ -38,9 +47,6 @@ class KdTree : public SpatialIndex {
   /// default for d <= 8.
   explicit KdTree(const Table& table, int leaf_size = 32);
 
-  void RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                   const RowVisitor& visit, SelectionStats* stats) const override;
-
   void BlockVisit(const double* center, double radius, const LpNorm& norm,
                   BlockKernel* kernel, SelectionStats* stats) const override;
 
@@ -48,13 +54,9 @@ class KdTree : public SpatialIndex {
   /// repeatedly splitting the largest frontier node until `target` subtrees
   /// exist (or only leaves remain), then ordered left-to-right so that
   /// visiting partitions in plan order enumerates rows in the same order as
-  /// a sequential RadiusVisit.
+  /// a sequential BlockVisit. Containment is hereditary, so a partitioned
+  /// scan absorbs exactly the rows a sequential one does.
   std::vector<ScanPartition> MakePartitions(size_t target) const override;
-
-  void RadiusVisitPartition(const ScanPartition& part, const double* center,
-                            double radius, const LpNorm& norm,
-                            const RowVisitor& visit,
-                            SelectionStats* stats) const override;
 
   void BlockVisitPartition(const ScanPartition& part, const double* center,
                            double radius, const LpNorm& norm,
@@ -77,17 +79,43 @@ class KdTree : public SpatialIndex {
     int32_t right = -1;
     int32_t begin = 0;    // range in the permuted row storage
     int32_t end = 0;
-    std::vector<double> box_lo;
-    std::vector<double> box_hi;
+  };
+
+  // Per-scan traversal state shared by BlockVisit and BlockVisitPartition.
+  struct Visit {
+    const double* center;
+    double radius;
+    const LpNorm* norm;
+    BlockFilter filter;
+    BlockKernel* kernel;
+    bool absorb;  // The kernel takes subtree sums.
+    int64_t examined = 0;
+    int64_t matched = 0;
   };
 
   int32_t Build(int32_t begin, int32_t end);
-  void ComputeBox(Node* node) const;
+  void ComputeBox(int32_t node_idx);
+  void ComputeSums();
 
-  void BlockVisitNode(int32_t node_idx, const double* center, double radius,
-                      const LpNorm& norm, const BlockFilter& filter,
-                      BlockKernel* kernel, int64_t* examined,
-                      int64_t* matched) const;
+  void BlockVisitNode(int32_t node_idx, Visit* v) const;
+  void RunVisit(int32_t node_idx, const double* center, double radius,
+                const LpNorm& norm, BlockKernel* kernel,
+                SelectionStats* stats) const;
+
+  /// Bounding box of node i: lo at BoxLo(i), hi at BoxLo(i) + d.
+  const double* BoxLo(int32_t i) const {
+    return &boxes_[static_cast<size_t>(i) * 2 * table_.dimension()];
+  }
+  const double* BoxHi(int32_t i) const { return BoxLo(i) + table_.dimension(); }
+
+  SubtreeSums SumsOf(int32_t i) const {
+    const Node& node = nodes_[static_cast<size_t>(i)];
+    SubtreeSums s;
+    s.count = node.end - node.begin;
+    s.d = table_.dimension();
+    s.sums = &sums_[static_cast<size_t>(i) * SubtreeSums::Stride(s.d)];
+    return s;
+  }
 
   /// Features of permuted position i (valid after the build re-layout).
   const double* PermRow(int32_t i) const {
@@ -97,7 +125,9 @@ class KdTree : public SpatialIndex {
   const Table& table_;
   int leaf_size_;
   std::vector<int32_t> ids_;      // permutation of row ids (build order)
-  std::vector<Node> nodes_;
+  std::vector<Node> nodes_;       // preorder: children after their parent
+  std::vector<double> boxes_;     // per node: lo[d] then hi[d]
+  std::vector<double> sums_;      // per node: SubtreeSums::Stride(d) doubles
   int32_t root_ = -1;
   // Leaf-blocked re-layout of the table in ids_ order: position i holds the
   // features/output/original id of row ids_[i], so node [begin, end) ranges

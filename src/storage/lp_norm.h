@@ -11,6 +11,7 @@
 #ifndef QREG_STORAGE_LP_NORM_H_
 #define QREG_STORAGE_LP_NORM_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -125,6 +126,45 @@ class LpNorm {
     if (kind_ == LpKind::kL2) return std::sqrt(s);
     if (kind_ == LpKind::kL1) return s;
     return std::pow(s, 1.0 / p_);
+  }
+
+  /// Relative margin of BoxInsideBall. Two evaluations of one distance
+  /// measure (say the block filter's and this test's, possibly contracted
+  /// to FMAs differently) differ by at most a few·d ulps; 1e-12 is far above
+  /// that for any d this code handles, and far below any radius difference
+  /// a query could care about.
+  static constexpr double kContainmentMargin = 1e-12;
+
+  /// Conservative containment: true only if every point of the box
+  /// [lo, hi]^d provably passes the block filter's `<= radius` test
+  /// (storage/block_filter.h). Evaluates the box's farthest corner — per
+  /// coordinate the endpoint farther from q — with the filter's own
+  /// arithmetic (squared sum against radius² for L2) and accepts only with
+  /// the relative kContainmentMargin to spare. Every rounding step is
+  /// monotone, so a row's computed measure never exceeds its box's corner
+  /// measure by more than the reassociation gap the margin covers. The test
+  /// is hereditary: a box inside an accepted box is accepted too.
+  bool BoxInsideBall(const double* q, const double* lo, const double* hi,
+                     size_t d, double radius) const {
+    if (!(radius >= 0.0)) return false;
+    const double keep = 1.0 - kContainmentMargin;
+    double s = 0.0;
+    for (size_t i = 0; i < d; ++i) {
+      const double t = std::max(std::fabs(lo[i] - q[i]), std::fabs(hi[i] - q[i]));
+      switch (kind_) {
+        case LpKind::kL2: s += t * t; break;
+        case LpKind::kL1: s += t; break;
+        case LpKind::kLInf: s = std::max(s, t); break;
+        case LpKind::kGeneric: s += std::pow(t, p_); break;
+      }
+    }
+    switch (kind_) {
+      case LpKind::kL2: return s <= radius * radius * keep;
+      case LpKind::kGeneric: return std::pow(s, 1.0 / p_) <= radius * keep;
+      case LpKind::kL1:
+      case LpKind::kLInf: break;
+    }
+    return s <= radius * keep;
   }
 
  private:

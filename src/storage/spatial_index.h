@@ -2,14 +2,16 @@
 // vector lies within an Lp ball (Definition 3's data subspace D(x, θ)).
 //
 // Two call styles share one contract:
-//   - BlockVisit (the native hot path): the index streams contiguous
-//     candidate blocks of its row storage through a branch-free Lp filter
-//     (storage/block_filter.h) and hands each block's selected lanes to a
-//     BlockKernel — one virtual call per ~256 rows instead of one
-//     type-erased std::function call per matching row.
-//   - RadiusVisit (the classic row-at-a-time API): kept for callers that
-//     want a per-row callback; implemented as a thin adapter over BlockVisit
-//     in every native index, so both styles always select identical rows in
+//   - BlockVisit (the native hot path, implemented by every index): the
+//     index streams contiguous candidate blocks of its row storage through
+//     a branch-free Lp filter (storage/block_filter.h) and hands each
+//     block's selected lanes to a BlockKernel — one virtual call per ~256
+//     rows instead of one type-erased std::function call per matching row.
+//     A kernel that opts in to subtree sums may instead receive a whole
+//     subtree's precomputed moments when the subtree lies entirely inside
+//     the ball (storage/kdtree.h).
+//   - RadiusVisit (the classic row-at-a-time API): a non-virtual adapter
+//     over BlockVisit, so both styles always select identical rows in
 //     identical order with identical SelectionStats.
 
 #ifndef QREG_STORAGE_SPATIAL_INDEX_H_
@@ -30,6 +32,11 @@ namespace storage {
 using RowVisitor = std::function<void(int64_t id, const double* x, double u)>;
 
 /// \brief Statistics of one selection execution.
+///
+/// Rows a kernel absorbed as part of a subtree's precomputed sums count as
+/// matched but not as examined: no distance was evaluated for them. So
+/// tuples_matched can exceed tuples_examined, and a ball covering a whole
+/// k-d tree examines nothing.
 struct SelectionStats {
   int64_t tuples_examined = 0;  ///< Rows whose distance was evaluated.
   int64_t tuples_matched = 0;   ///< Rows inside the ball.
@@ -61,12 +68,40 @@ struct BlockSpan {
   double UAt(int32_t k) const { return us[sel[k]]; }
 };
 
+/// \brief Precomputed moments of every row of one index subtree: Σu, Σu²,
+/// Σx, the upper triangle of Σxxᵀ (row-major, i <= j) and Σx·u. A view into
+/// the index's flat per-node array; valid only during the OnSubtree call.
+struct SubtreeSums {
+  int64_t count = 0;             ///< Rows in the subtree.
+  const double* sums = nullptr;  ///< Layout: see the accessors below.
+  size_t d = 0;
+
+  /// Doubles per node in the flat layout.
+  static size_t Stride(size_t d) { return 2 + d + d * (d + 1) / 2 + d; }
+
+  double sum_u() const { return sums[0]; }
+  double sum_uu() const { return sums[1]; }
+  const double* sum_x() const { return sums + 2; }
+  const double* sum_xx() const { return sums + 2 + d; }
+  const double* sum_xu() const { return sums + 2 + d + d * (d + 1) / 2; }
+};
+
 /// \brief Fused filter+accumulate consumer of a block scan. One OnBlock call
 /// per candidate block that has at least one selected lane.
+///
+/// A kernel whose state depends only on the moments of the selected rows
+/// (not on their ids or order) may opt in to subtree sums: the index asks
+/// wants_subtree_sums() once per scan and then passes every subtree lying
+/// entirely inside the ball to OnSubtree instead of streaming its rows.
+/// Kernels that do not opt in see exactly the rows, order and stats of a
+/// row-by-row scan.
 class BlockKernel {
  public:
   virtual ~BlockKernel() = default;
   virtual void OnBlock(const BlockSpan& span) = 0;
+
+  virtual bool wants_subtree_sums() const { return false; }
+  virtual void OnSubtree(const SubtreeSums& /*sums*/) {}
 };
 
 /// \brief The RowVisitor compatibility shim: replays a block's selected
@@ -104,17 +139,19 @@ class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
 
-  /// Invokes `visit` for every row within `radius` of `center` under `norm`.
-  /// `stats` may be null.
-  virtual void RadiusVisit(const double* center, double radius, const LpNorm& norm,
-                           const RowVisitor& visit, SelectionStats* stats) const = 0;
-
-  /// Streams every in-ball row to `kernel` block-at-a-time. Selects exactly
-  /// the rows RadiusVisit visits, in the same order, with identical stats.
-  /// The default implementation adapts over RadiusVisit with one-row spans;
-  /// native indexes override it with true blocked execution.
+  /// Streams every in-ball row to `kernel` block-at-a-time (or, for kernels
+  /// that opt in, whole in-ball subtrees as precomputed sums). `stats` may
+  /// be null.
   virtual void BlockVisit(const double* center, double radius, const LpNorm& norm,
-                          BlockKernel* kernel, SelectionStats* stats) const;
+                          BlockKernel* kernel, SelectionStats* stats) const = 0;
+
+  /// Invokes `visit` for every row within `radius` of `center` under `norm`,
+  /// in BlockVisit's order and with its stats. `stats` may be null.
+  void RadiusVisit(const double* center, double radius, const LpNorm& norm,
+                   const RowVisitor& visit, SelectionStats* stats) const {
+    RowVisitorBlockKernel adapter(visit);
+    BlockVisit(center, radius, norm, &adapter, stats);
+  }
 
   /// Collects matching row ids (convenience wrapper over BlockVisit).
   std::vector<int64_t> RadiusSearch(const double* center, double radius,
@@ -126,26 +163,26 @@ class SpatialIndex {
   /// than max(1, rows)) — notably a single partition when the data is too
   /// small to be worth splitting. The plan is a pure function of the indexed
   /// data, so repeated calls with the same `target` return the same plan.
-  ///
-  /// The default implementation returns one partition covering everything.
-  virtual std::vector<ScanPartition> MakePartitions(size_t target) const;
+  virtual std::vector<ScanPartition> MakePartitions(size_t target) const = 0;
 
-  /// RadiusVisit restricted to one partition of a plan produced by *this*
-  /// index's MakePartitions. Visiting all partitions of a plan invokes
-  /// `visit` for exactly the rows one RadiusVisit would, with identical
-  /// aggregate SelectionStats.
-  virtual void RadiusVisitPartition(const ScanPartition& part, const double* center,
-                                    double radius, const LpNorm& norm,
-                                    const RowVisitor& visit,
-                                    SelectionStats* stats) const;
-
-  /// BlockVisit restricted to one partition: the blocked analogue of
-  /// RadiusVisitPartition, with the same all-partitions == one-BlockVisit
-  /// equivalence.
+  /// BlockVisit restricted to one partition of a plan produced by *this*
+  /// index's MakePartitions. Visiting all partitions of a plan hands the
+  /// kernel exactly the rows one BlockVisit would, in the same order, with
+  /// identical aggregate SelectionStats (a kernel taking subtree sums may
+  /// receive the same rows grouped into smaller subtrees).
   virtual void BlockVisitPartition(const ScanPartition& part, const double* center,
                                    double radius, const LpNorm& norm,
                                    BlockKernel* kernel,
-                                   SelectionStats* stats) const;
+                                   SelectionStats* stats) const = 0;
+
+  /// RadiusVisit restricted to one partition: the row-callback adapter over
+  /// BlockVisitPartition.
+  void RadiusVisitPartition(const ScanPartition& part, const double* center,
+                            double radius, const LpNorm& norm,
+                            const RowVisitor& visit, SelectionStats* stats) const {
+    RowVisitorBlockKernel adapter(visit);
+    BlockVisitPartition(part, center, radius, norm, &adapter, stats);
+  }
 
   /// Access-path name for logs and bench tables ("kdtree", "scan").
   virtual std::string name() const = 0;

@@ -439,6 +439,20 @@ TEST(NetFaultTest, ReorderedReadinessIsDeterministicAcrossRuns) {
     service::QueryRouter router(SharedCatalog(), RouterCfg(1));
     Server server(&router, SimConfig(&transport));
     ASSERT_TRUE(server.Start().ok());
+    // Hold the router's lone worker until conn A's pong is out, so the
+    // answer cannot race the loop's inline pong (SimBackend virtualises the
+    // sockets, not the executor threads). Opened on every exit path, before
+    // the server is torn down.
+    testsupport::Gate worker_started, release_worker;
+    struct OpenOnExit {
+      testsupport::Gate* gate;
+      ~OpenOnExit() { gate->Open(); }
+    } open_on_exit{&release_worker};
+    router.pool_for_testing()->Submit([&] {
+      worker_started.Open();
+      release_worker.Wait();
+    });
+    worker_started.Wait();
 
     // First-connected gets the *larger* rank: Wait() must serve B first
     // whenever both are ready — scripted readiness reordering.
@@ -467,6 +481,8 @@ TEST(NetFaultTest, ReorderedReadinessIsDeterministicAcrossRuns) {
 
     FrameDecoder dec_a, dec_b;
     std::vector<Frame> frames_a, frames_b;
+    ASSERT_TRUE(CollectFrames(conn_a, &dec_a, 1, &frames_a));
+    release_worker.Open();
     ASSERT_TRUE(CollectFrames(conn_a, &dec_a, 2, &frames_a));
     ASSERT_TRUE(CollectFrames(conn_b, &dec_b, 1, &frames_b));
     // The pong legitimately overtakes the answer: pings are answered inline

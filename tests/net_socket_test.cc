@@ -521,7 +521,22 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   std::vector<WireRequest> batch;
   for (const service::Request& r : requests) batch.push_back(ToWire(r));
 
+  // Hold the router's lone worker so the pipelined batch meets a saturated
+  // pool: the first requests queue behind the blocker (they are answered
+  // once it lets go) and the rest shed. The worker is released only after a
+  // shed happened, so the outcome never depends on how fast it drains.
+  testsupport::Gate worker_started, release_worker;
+  router.pool_for_testing()->Submit([&] {
+    worker_started.Open();
+    release_worker.Wait();
+  });
+  worker_started.Wait();
+  std::thread releaser([&] {
+    WaitFor([&router] { return router.Stats().shed > 0; });
+    release_worker.Open();
+  });
   const auto results = client.ExecuteBatch(batch);
+  releaser.join();
   ASSERT_EQ(results.size(), batch.size());
 
   int64_t ok = 0, shed = 0, other = 0;
@@ -536,7 +551,7 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
     }
   }
   // Every request got a typed response — the overload story is frames, not
-  // resets. The tiny queue guarantees the shed path actually engaged.
+  // resets. The held worker guarantees the shed path actually engaged.
   EXPECT_EQ(ok + shed, static_cast<int64_t>(batch.size()));
   EXPECT_GT(shed, 0);
   EXPECT_GT(ok, 0);
