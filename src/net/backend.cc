@@ -1,5 +1,6 @@
-// poll(2) backend plus the socket plumbing shared with the epoll backend
-// (listener setup, accept, readv/sendmsg I/O, self-pipe wakeup).
+// Socket plumbing behind the epoll backend (listener setup, accept,
+// readv/sendmsg I/O, self-pipe wakeup) plus the client's receive-timeout
+// wait.
 
 #include "net/backend.h"
 
@@ -13,7 +14,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <unordered_map>
 
 #include "net/backend_socket.h"
 #include "util/string_util.h"
@@ -23,7 +23,6 @@ namespace net {
 
 const char* BackendKindName(BackendKind kind) {
   switch (kind) {
-    case BackendKind::kPoll: return "poll";
     case BackendKind::kEpoll: return "epoll";
     case BackendKind::kSim: return "sim";
   }
@@ -31,7 +30,6 @@ const char* BackendKindName(BackendKind kind) {
 }
 
 bool ParseBackendKind(const std::string& name, BackendKind* kind) {
-  if (name == "poll") { *kind = BackendKind::kPoll; return true; }
   if (name == "epoll") { *kind = BackendKind::kEpoll; return true; }
   if (name == "sim") { *kind = BackendKind::kSim; return true; }
   return false;
@@ -62,18 +60,11 @@ util::Result<int> SocketOpenListener(const std::string& address, uint16_t port,
   }
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      const util::Status st = util::Status::NotImplemented(
-          util::Format("SO_REUSEPORT: %s", strerror(errno)));
-      ::close(fd);
-      return st;
-    }
-#else
+  if (reuse_port &&
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    const util::Status st = SyscallIoError("SO_REUSEPORT");
     ::close(fd);
-    return util::Status::NotImplemented("SO_REUSEPORT not available");
-#endif
+    return st;
   }
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(fd, 128) != 0) {
@@ -172,96 +163,6 @@ void WakePipe::Drain() {
   uint8_t buf[256];
   while (::read(fds_[0], buf, sizeof(buf)) > 0) {
   }
-}
-
-// ------------------------------------------------------------ poll backend --
-
-namespace {
-
-// The interest set lives in a map the backend rebuilds into a pollfd array
-// on every Wait — the O(n)-per-wakeup cost that is poll's signature (and
-// the reason the epoll backend exists).
-class PollBackend final : public EventBackend {
- public:
-  BackendKind kind() const override { return BackendKind::kPoll; }
-
-  util::Status Init() override { return wake_.Open(); }
-
-  util::Result<int> OpenListener(const std::string& address, uint16_t port,
-                                 bool reuse_port) override {
-    return SocketOpenListener(address, port, reuse_port);
-  }
-
-  util::Result<uint16_t> ListenerPort(int listener) override {
-    return SocketListenerPort(listener);
-  }
-
-  int Accept(int listener) override { return SocketAccept(listener); }
-
-  void UpdateInterest(int handle, bool want_read, bool want_write) override {
-    interests_[handle] = {want_read, want_write};
-  }
-
-  void Deregister(int handle) override { interests_.erase(handle); }
-
-  util::Status Wait(int timeout_ms, std::vector<ReadyEvent>* events) override {
-    events->clear();
-    pfds_.clear();
-    pfds_.push_back({wake_.read_fd(), POLLIN, 0});
-    for (const auto& entry : interests_) {
-      short want = 0;
-      if (entry.second.read) want |= POLLIN;
-      if (entry.second.write) want |= POLLOUT;
-      if (want == 0) continue;  // Parked: no events, matching the contract.
-      pfds_.push_back({entry.first, want, 0});
-    }
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n < 0 && errno != EINTR) {
-      return util::Status::IoError(util::Format("poll(): %s", strerror(errno)));
-    }
-    if (n <= 0) return util::Status::OK();
-    if (pfds_[0].revents & POLLIN) wake_.Drain();
-    for (size_t i = 1; i < pfds_.size(); ++i) {
-      const short got = pfds_[i].revents;
-      if (got == 0) continue;
-      ReadyEvent ev;
-      ev.handle = pfds_[i].fd;
-      ev.readable = (got & POLLIN) != 0;
-      ev.writable = (got & POLLOUT) != 0;
-      ev.error = (got & (POLLERR | POLLNVAL)) != 0;
-      ev.hangup = (got & POLLHUP) != 0;
-      events->push_back(ev);
-    }
-    return util::Status::OK();
-  }
-
-  void Wake() override { wake_.Wake(); }
-
-  IoResult Read(int handle, const iovec* iov, int iovcnt) override {
-    return SocketRead(handle, iov, iovcnt);
-  }
-
-  IoResult Write(int handle, const iovec* iov, int iovcnt) override {
-    return SocketWrite(handle, iov, iovcnt);
-  }
-
-  void Close(int handle) override { ::close(handle); }
-
- private:
-  struct Interest {
-    bool read = false;
-    bool write = false;
-  };
-
-  WakePipe wake_;
-  std::unordered_map<int, Interest> interests_;
-  std::vector<pollfd> pfds_;  // Scratch, rebuilt every Wait.
-};
-
-}  // namespace
-
-std::unique_ptr<EventBackend> CreatePollBackend() {
-  return std::make_unique<PollBackend>();
 }
 
 }  // namespace net

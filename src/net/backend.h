@@ -6,13 +6,9 @@
 // The loop logic is written once against this interface; what plugs in
 // underneath is chosen per ServerConfig:
 //
-//   kPoll   poll(2). The interest set is rebuilt into a pollfd array on
-//           every Wait — O(n) per wakeup in the number of registered
-//           handles. Portable baseline.
-//   kEpoll  epoll(7), level-triggered, one epoll instance per loop.
-//           Interest changes are incremental (epoll_ctl) and Wait returns
-//           only ready handles — O(ready) dispatch, the regime for large
-//           connection counts.
+//   kEpoll  The production backend: epoll(7), level-triggered, one epoll
+//           instance per loop. Interest changes are incremental (epoll_ctl)
+//           and Wait returns only ready handles — O(ready) dispatch.
 //   kSim    A deterministic in-memory transport (backend_sim.h). No real
 //           sockets: tests script per-connection fault schedules (short
 //           reads, EAGAIN at byte k, ECONNRESET mid-frame, reordered
@@ -24,8 +20,8 @@
 // not running). Wake() is thread-safe and interrupts a concurrent — or the
 // next — Wait().
 //
-// Handles are plain ints. For the real backends they are file descriptors;
-// for the sim they are transport-assigned ids. Server code never does I/O
+// Handles are plain ints. For epoll they are file descriptors; for the sim
+// they are transport-assigned ids. Server code never does I/O
 // on a handle directly — always through the backend that produced it.
 
 #ifndef QREG_NET_BACKEND_H_
@@ -45,15 +41,14 @@ namespace net {
 
 /// \brief Which event backend a server runs its loops on.
 enum class BackendKind : int {
-  kPoll = 0,
   kEpoll = 1,
   kSim = 2,
 };
 
-/// "poll" / "epoll" / "sim".
+/// "epoll" / "sim".
 const char* BackendKindName(BackendKind kind);
 
-/// Parses "poll"/"epoll"/"sim" (exact match). Returns false — leaving *kind
+/// Parses "epoll"/"sim" (exact match). Returns false — leaving *kind
 /// untouched — for anything else.
 bool ParseBackendKind(const std::string& name, BackendKind* kind);
 
@@ -62,7 +57,7 @@ struct ReadyEvent {
   int handle = -1;
   bool readable = false;
   bool writable = false;
-  bool error = false;   ///< POLLERR/POLLNVAL class: unusable, close it.
+  bool error = false;   ///< EPOLLERR class: unusable, close it.
   bool hangup = false;  ///< Peer closed its write side; drain, then close.
 };
 
@@ -96,9 +91,9 @@ class EventBackend {
   virtual util::Status Init() = 0;
 
   /// Opens a non-blocking listener on address:port (port 0 = ephemeral).
-  /// `reuse_port` asks for kernel accept sharding (SO_REUSEPORT); a backend
-  /// that cannot honor it returns kNotImplemented so Start() can fall back
-  /// to the shared-listener handoff path.
+  /// `reuse_port` asks for kernel accept sharding (SO_REUSEPORT), so every
+  /// loop can bind its own listener to the same endpoint. Any failure is a
+  /// typed error that Start() returns as is.
   virtual util::Result<int> OpenListener(const std::string& address,
                                          uint16_t port, bool reuse_port) = 0;
 
@@ -142,9 +137,8 @@ class EventBackend {
   virtual void Close(int handle) = 0;
 };
 
-/// Real-socket backends. A kSim backend is created by its SimTransport
+/// The real-socket backend. A kSim backend is created by its SimTransport
 /// (backend_sim.h) — the server reaches it through ServerConfig::sim.
-std::unique_ptr<EventBackend> CreatePollBackend();
 std::unique_ptr<EventBackend> CreateEpollBackend();
 
 }  // namespace net

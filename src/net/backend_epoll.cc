@@ -1,12 +1,12 @@
-// epoll(7) backend: one level-triggered epoll instance per event loop.
+// epoll(7) backend — the production backend: one level-triggered epoll
+// instance per event loop.
 //
 // Interest changes are incremental epoll_ctl calls and Wait() returns only
-// the ready handles — O(ready) dispatch per wakeup where poll() pays O(n)
-// rebuilding and scanning its pollfd array. Level-triggered on purpose: the
-// server's loop logic (drain-on-short-read, retry-flush-on-next-readiness)
-// was written against poll semantics and must behave identically here; the
-// wire bytes are pinned bit-for-bit against the poll backend by
-// net_socket_test.
+// the ready handles — O(ready) dispatch per wakeup. Level-triggered on
+// purpose: the server's loop logic (drain-on-short-read,
+// retry-flush-on-next-readiness) relies on a handle staying ready until it
+// is drained, which is also what the SimBackend models; net_socket_test pins
+// the wire bytes bit-for-bit against the in-process router.
 
 #include <sys/epoll.h>
 #include <unistd.h>

@@ -85,8 +85,8 @@ class SimBackend final : public EventBackend {
 
   util::Result<int> OpenListener(const std::string& address, uint16_t port,
                                  bool /*reuse_port*/) override {
-    // Every backend of one transport may listen on "the" port — that is the
-    // SO_REUSEPORT-sharding analogue, so no shared-listener fallback fires.
+    // Every backend of one transport may listen on "the" port — the
+    // in-memory analogue of per-loop SO_REUSEPORT listeners.
     (void)address;
     util::MutexLock lock(&shared_->mu);
     if (shared_->port == 0) {

@@ -209,10 +209,10 @@ class WireArena {
 
 /// In-place frame encoders: append one complete frame — header plus
 /// tagged-field payload, with payload_len, nested lengths, and checksum
-/// backpatched — directly onto `out`. Bit-for-bit identical to
-/// `AppendFrame(out, ..., EncodeAnswer(...))` without the intermediate
-/// per-frame payload allocations; this is the arena encode path the server's
-/// executors use on reusable connection-owned buffers.
+/// backpatched — directly onto `out`, with no per-frame payload allocation.
+/// They write the same field sequence as EncodeAnswer/EncodeStatus (one
+/// writer per message kind serves both); this is the arena encode path the
+/// server's executors use on reusable connection-owned buffers.
 void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const service::Answer& answer);
 void AppendStatusFrame(std::vector<uint8_t>* out, uint64_t request_id,

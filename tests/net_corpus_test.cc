@@ -1,7 +1,9 @@
 // Golden wire-corpus regression test (DESIGN.md §12). tests/corpus/wire/
 // holds one binary file per valid message kind and one per malformed class;
 // this test pins (a) the encoders — each valid file must be bit-for-bit what
-// today's encoder produces for its canonical message — and (b) the decoder —
+// today's encoder produces for its canonical message (answer and error
+// frames through AppendAnswerFrame/AppendStatusFrame, the encoders the
+// server runs) — and (b) the decoder —
 // every file, fed whole *and* byte-at-a-time, must yield the same pinned
 // outcome (frame / kNeedMore / typed poison). An unintentional wire format
 // change fails (a); a decoder behavior change fails (b).
@@ -110,19 +112,19 @@ std::vector<uint8_t> BuildRequestQ2Deadline() {
 
 std::vector<uint8_t> BuildAnswerFull() {
   std::vector<uint8_t> out;
-  AppendFrame(&out, FrameType::kAnswer, 3, EncodeAnswer(CanonicalFullAnswer()));
+  AppendAnswerFrame(&out, 3, CanonicalFullAnswer());
   return out;
 }
 
 std::vector<uint8_t> BuildAnswerMinimal() {
   std::vector<uint8_t> out;
-  AppendFrame(&out, FrameType::kAnswer, 4, EncodeAnswer(service::Answer()));
+  AppendAnswerFrame(&out, 4, service::Answer());
   return out;
 }
 
 std::vector<uint8_t> BuildErrorStatus() {
   std::vector<uint8_t> out;
-  AppendFrame(&out, FrameType::kError, 5, EncodeStatus(CanonicalErrorStatus()));
+  AppendStatusFrame(&out, 5, CanonicalErrorStatus());
   return out;
 }
 

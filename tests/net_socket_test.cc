@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -47,25 +46,6 @@ bool WaitFor(Cond cond) {
   return cond();
 }
 
-// The backend every server in this file runs on. CI's net-fault-gate sweeps
-// QREG_NET_BACKEND over {poll, epoll}; unset means poll. The wire bytes must
-// be identical either way — that is the whole point of the seam.
-BackendKind TestBackend() {
-  const char* env = std::getenv("QREG_NET_BACKEND");
-  BackendKind kind = BackendKind::kPoll;
-  if (env != nullptr && *env != '\0') {
-    EXPECT_TRUE(ParseBackendKind(env, &kind))
-        << "bad QREG_NET_BACKEND: " << env;
-  }
-  return kind;
-}
-
-ServerConfig BaseConfig() {
-  ServerConfig cfg;
-  cfg.backend = TestBackend();
-  return cfg;
-}
-
 WireRequest ToWire(const service::Request& request) {
   WireRequest wire;
   wire.dataset = request.dataset;
@@ -74,11 +54,10 @@ WireRequest ToWire(const service::Request& request) {
   return wire;
 }
 
-// Core determinism check, shared by the single-loop, multi-loop, and
-// shared-listener-fallback tests: a pipelined batch striped across
-// `client_conns` connections must come back positionally aligned and
-// bit-for-bit equal to the synchronous in-process reference, whatever the
-// server's loop topology.
+// Core determinism check, shared by the single-loop and multi-loop tests: a
+// pipelined batch striped across `client_conns` connections must come back
+// positionally aligned and bit-for-bit equal to the synchronous in-process
+// reference, whatever the server's loop topology.
 void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
   service::RouterConfig cfg;
   cfg.policy = service::RoutePolicy::kHybrid;
@@ -94,9 +73,6 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
   const util::Result<Endpoint> ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   ASSERT_EQ(server.num_loops(), server_cfg.event_loops);
-  if (server_cfg.force_shared_listener) {
-    EXPECT_TRUE(server.using_shared_listener());
-  }
 
   ClientPool pool;
   ASSERT_TRUE(pool.Connect(ep->address, ep->port, client_conns).ok());
@@ -165,21 +141,12 @@ void RunBitForBitOverWire(ServerConfig server_cfg, size_t client_conns) {
 }
 
 TEST(NetServerTest, PipelinedBatchMatchesInProcessBitForBit) {
-  RunBitForBitOverWire(BaseConfig(), /*client_conns=*/1);
+  RunBitForBitOverWire(ServerConfig(), /*client_conns=*/1);
 }
 
 TEST(NetServerTest, MultiLoopPipelinedBatchesMatchInProcessBitForBit) {
-  ServerConfig cfg = BaseConfig();
+  ServerConfig cfg;
   cfg.event_loops = 4;
-  RunBitForBitOverWire(cfg, /*client_conns=*/8);
-}
-
-TEST(NetServerTest, SharedListenerFallbackMatchesInProcessBitForBit) {
-  // Pretend the platform lacks SO_REUSEPORT: the round-robin fd-handoff
-  // path must be exactly as correct as kernel accept sharding.
-  ServerConfig cfg = BaseConfig();
-  cfg.event_loops = 4;
-  cfg.force_shared_listener = true;
   RunBitForBitOverWire(cfg, /*client_conns=*/8);
 }
 
@@ -294,43 +261,18 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
 }
 
 TEST(NetServerTest, ParseBackendKindRoundTripsAndRejectsGarbage) {
-  BackendKind kind = BackendKind::kSim;
-  ASSERT_TRUE(ParseBackendKind("poll", &kind));
-  EXPECT_EQ(kind, BackendKind::kPoll);
-  ASSERT_TRUE(ParseBackendKind("epoll", &kind));
-  EXPECT_EQ(kind, BackendKind::kEpoll);
-  ASSERT_TRUE(ParseBackendKind("sim", &kind));
-  EXPECT_EQ(kind, BackendKind::kSim);
-  for (BackendKind k :
-       {BackendKind::kPoll, BackendKind::kEpoll, BackendKind::kSim}) {
-    BackendKind parsed = BackendKind::kPoll;
+  EXPECT_EQ(ServerConfig().backend, BackendKind::kEpoll);
+  for (BackendKind k : {BackendKind::kEpoll, BackendKind::kSim}) {
+    BackendKind parsed = k == BackendKind::kEpoll ? BackendKind::kSim
+                                                  : BackendKind::kEpoll;
     ASSERT_TRUE(ParseBackendKind(BackendKindName(k), &parsed));
     EXPECT_EQ(parsed, k);
   }
-  kind = BackendKind::kEpoll;
+  BackendKind kind = BackendKind::kEpoll;
   EXPECT_FALSE(ParseBackendKind("", &kind));
   EXPECT_FALSE(ParseBackendKind("Epoll", &kind));
-  EXPECT_FALSE(ParseBackendKind("io_uring", &kind));
+  EXPECT_FALSE(ParseBackendKind("poll", &kind));
   EXPECT_EQ(kind, BackendKind::kEpoll);  // Untouched on failure.
-}
-
-// The PR 8 acceptance pin: the epoll backend must be bit-for-bit identical
-// to poll over the wire — same frames, same payload bytes, same per-loop
-// counter rollup — at one loop and at four, pipelined batches striped over
-// several connections. (RunBitForBitOverWire compares against the in-process
-// reference, which the poll runs above also match; equality to the same
-// reference is equality to each other.)
-TEST(NetServerTest, EpollSingleLoopMatchesInProcessBitForBit) {
-  ServerConfig cfg;
-  cfg.backend = BackendKind::kEpoll;
-  RunBitForBitOverWire(cfg, /*client_conns=*/1);
-}
-
-TEST(NetServerTest, EpollFourLoopsMatchInProcessBitForBit) {
-  ServerConfig cfg;
-  cfg.backend = BackendKind::kEpoll;
-  cfg.event_loops = 4;
-  RunBitForBitOverWire(cfg, /*client_conns=*/8);
 }
 
 TEST(NetServerTest, StartReturnsBoundEndpoint) {
@@ -338,7 +280,7 @@ TEST(NetServerTest, StartReturnsBoundEndpoint) {
   rcfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), rcfg);
 
-  ServerConfig cfg = BaseConfig();
+  ServerConfig cfg;
   cfg.event_loops = 2;
   Server server(&router, cfg);
   const util::Result<Endpoint> ep = server.Start();
@@ -356,6 +298,57 @@ TEST(NetServerTest, StartReturnsBoundEndpoint) {
   server.Shutdown();
 }
 
+TEST(NetServerTest, StartOnOccupiedPortReturnsTypedErrorAndCleansUp) {
+  service::RouterConfig rcfg;
+  rcfg.num_threads = 1;
+  service::QueryRouter router(SharedCatalog(), rcfg);
+
+  // A plain listener — no SO_REUSEPORT — holds the port, so neither a
+  // one-loop bind nor a SO_REUSEPORT multi-loop bind can share it.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
+
+  for (size_t loops : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(loops);
+    ServerConfig cfg;
+    cfg.port = port;
+    cfg.event_loops = loops;
+    Server server(&router, cfg);
+    const util::Result<Endpoint> ep = server.Start();
+    ASSERT_FALSE(ep.ok());
+    EXPECT_EQ(ep.status().code(), util::StatusCode::kIoError) << ep.status();
+    EXPECT_EQ(server.num_loops(), 0u);
+    EXPECT_FALSE(server.running());
+    server.Shutdown();
+    server.Shutdown();  // A second Shutdown() is a no-op.
+    EXPECT_FALSE(server.running());
+
+    // The failed Start() leaves nothing behind: a fresh server still starts
+    // and answers.
+    ServerConfig fresh_cfg;
+    fresh_cfg.event_loops = loops;
+    Server fresh(&router, fresh_cfg);
+    const util::Result<Endpoint> fresh_ep = fresh.Start();
+    ASSERT_TRUE(fresh_ep.ok()) << fresh_ep.status();
+    Client client;
+    ASSERT_TRUE(client.Connect(fresh_ep->address, fresh_ep->port).ok());
+    EXPECT_TRUE(client.Ping().ok());
+    client.Close();
+    fresh.Shutdown();
+  }
+  ::close(holder);
+}
+
 TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
   service::RouterConfig cfg;
   cfg.policy = service::RoutePolicy::kHybrid;
@@ -363,7 +356,7 @@ TEST(NetServerTest, MultiLoopShutdownDrainsEveryLoopsDecodedRequests) {
   cfg.num_threads = 2;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  ServerConfig server_cfg = BaseConfig();
+  ServerConfig server_cfg;
   server_cfg.event_loops = 4;
   Server server(&router, server_cfg);
   const auto ep = server.Start();
@@ -421,7 +414,7 @@ TEST(NetServerTest, GlobalConnectionCapHoldsAcrossLoops) {
   rcfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), rcfg);
 
-  ServerConfig cfg = BaseConfig();
+  ServerConfig cfg;
   cfg.event_loops = 4;
   cfg.max_connections = 6;  // Global cap, NOT per loop.
   Server server(&router, cfg);
@@ -473,7 +466,7 @@ TEST(NetServerTest, ExpiredClientDeadlineRejectedAtAdmissionWithoutCacheTouch) {
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -511,7 +504,7 @@ TEST(NetServerTest, SaturatedRouterShedsWithTypedFramesNotConnectionDrops) {
   cfg.overload = service::OverloadPolicy::kShed;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -573,7 +566,7 @@ TEST(NetServerTest, ServerPipelineCapShedsAtAdmission) {
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  ServerConfig server_cfg = BaseConfig();
+  ServerConfig server_cfg;
   server_cfg.max_pipeline = 8;  // Tiny per-connection backlog bound.
   Server server(&router, server_cfg);
   const auto ep = server.Start();
@@ -606,7 +599,7 @@ TEST(NetServerTest, ShutdownDrainsDecodedRequestsThenCloses) {
   cfg.num_threads = 2;
   service::QueryRouter router(SharedCatalog(), cfg);
 
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -655,7 +648,7 @@ TEST(NetServerTest, MalformedStreamGetsTypedErrorFrameAndCleanClose) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
 
@@ -718,7 +711,7 @@ TEST(NetServerTest, OversizedFramePoisonPersistsOverSocket) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
 
@@ -819,7 +812,7 @@ TEST(NetServerTest, UnknownDatasetComesBackAsTypedNotFound) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   Client client;
@@ -838,7 +831,7 @@ TEST(NetServerTest, PingPongAndServerIsSingleUse) {
   service::RouterConfig cfg;
   cfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), cfg);
-  Server server(&router, BaseConfig());
+  Server server(&router);
   const auto ep = server.Start();
   ASSERT_TRUE(ep.ok()) << ep.status();
   EXPECT_TRUE(server.running());
@@ -873,7 +866,7 @@ struct PoolFixture {
   PoolFixture()
       : router(SharedCatalog(), RouterCfg(2)),
         ref(SharedCatalog(), RouterCfg(0)),
-        server(&router, BaseConfig()) {
+        server(&router) {
     const util::Result<Endpoint> started = server.Start();
     EXPECT_TRUE(started.ok()) << started.status();
     if (started.ok()) ep = *started;
@@ -1016,7 +1009,7 @@ TEST(ClientPoolTest, RetryRecoversBatchAfterResetFirstAttempt) {
   service::RouterConfig refcfg = rcfg;
   refcfg.num_threads = 0;
   service::QueryRouter ref(SharedCatalog(), refcfg);
-  ServerConfig scfg = BaseConfig();
+  ServerConfig scfg;
   scfg.port = port;
   Server server(&router, scfg);
   ASSERT_TRUE(server.Start().ok());
@@ -1074,7 +1067,7 @@ TEST(ClientPoolTest, DeadlineCarryingRequestsAreNeverRetried) {
   service::RouterConfig rcfg;
   rcfg.num_threads = 1;
   service::QueryRouter router(SharedCatalog(), rcfg);
-  ServerConfig scfg = BaseConfig();
+  ServerConfig scfg;
   scfg.port = port;
   Server server(&router, scfg);
   ASSERT_TRUE(server.Start().ok());

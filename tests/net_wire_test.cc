@@ -362,9 +362,8 @@ TEST(WireCodecTest, MutatedValidPayloadFuzzNeverCrashes) {
 
 // ------------------------------------------------------- in-place encoding --
 
-// The executor-side in-place encoders must be byte-for-byte what the
-// allocate-then-wrap path produces — the socket tests compare decoded
-// answers, this pins the raw frames themselves.
+// The executor-side frame encoders write many frames into one batch buffer.
+// Their raw bytes are pinned by the golden corpus (net_corpus_test).
 
 service::Answer FullyPopulatedAnswer() {
   service::Answer answer;
@@ -387,37 +386,6 @@ service::Answer FullyPopulatedAnswer() {
     answer.pieces.push_back(piece);
   }
   return answer;
-}
-
-TEST(InplaceEncodeTest, AnswerFrameMatchesEncodeAnswerBitForBit) {
-  const service::Answer answer = FullyPopulatedAnswer();
-
-  std::vector<uint8_t> inplace;
-  AppendAnswerFrame(&inplace, /*request_id=*/42, answer);
-
-  std::vector<uint8_t> reference;
-  AppendFrame(&reference, FrameType::kAnswer, 42, EncodeAnswer(answer));
-
-  EXPECT_EQ(inplace, reference);
-}
-
-TEST(InplaceEncodeTest, MinimalAnswerFrameMatchesToo) {
-  service::Answer answer;  // Defaults: no pieces, zero stats.
-  std::vector<uint8_t> inplace;
-  AppendAnswerFrame(&inplace, 1, answer);
-  std::vector<uint8_t> reference;
-  AppendFrame(&reference, FrameType::kAnswer, 1, EncodeAnswer(answer));
-  EXPECT_EQ(inplace, reference);
-}
-
-TEST(InplaceEncodeTest, StatusFrameMatchesEncodeStatusBitForBit) {
-  const util::Status status =
-      util::Status::ResourceExhausted("queue full: shed");
-  std::vector<uint8_t> inplace;
-  AppendStatusFrame(&inplace, /*request_id=*/7, status);
-  std::vector<uint8_t> reference;
-  AppendFrame(&reference, FrameType::kError, 7, EncodeStatus(status));
-  EXPECT_EQ(inplace, reference);
 }
 
 TEST(InplaceEncodeTest, AppendsAfterExistingBytesAndStillDecodes) {
