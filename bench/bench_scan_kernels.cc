@@ -13,23 +13,27 @@
 // Reported as rows/sec (candidate rows examined per wall second).
 //
 // Part 2 — cache read path. N reader threads hammer AnswerCache::Lookup on
-// a warm group; readers share the shard's reader/writer lock.
+// a warm group; readers share the shard's reader/writer lock. Two groups:
+// a narrow one (one θ) and a full group with the serving benchmark's wide
+// θ spread, with the share of lookups the probe grid served.
 //
 // Always writes machine-readable JSON to OutDir() (default bench/out/):
 //   bench_scan_kernels.json       — one record per (d, selectivity, path)
-//   bench_cache_read_path.json    — one record per reader count
+//   bench_cache_read_path.json    — one record per (θ spread, readers)
 // picked up by the CI bench-smoke artifact upload. The table JSON includes
 // bytes/row from the Table::MemoryBytes breakdown.
 //
 // --smoke: scaled-down sizes for CI, plus a hard gate: exits non-zero if
 // blockvisit is not at least as fast as rowvisitor on the d=6, 10% L2
 // profile (guards against the RowVisitor adapter accidentally becoming the
-// fast path).
+// fast path), or if any wide-θ-spread cache lookup fell back to the linear
+// probe.
 //
 // Env knobs: QREG_SCAN_ROWS (default 200000), QREG_SCAN_REPS (default
 // auto), QREG_SEED.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -166,20 +170,41 @@ ScanCell RunScanCell(size_t d, double selectivity, int64_t rows, int64_t reps,
 }
 
 struct CacheCell {
+  std::string spread;
   int readers = 0;
   double lookups_per_sec = 0.0;
   double hit_rate = 0.0;
+  double grid_share = 0.0;  // Lookups served by the grid path.
 };
 
-CacheCell RunCacheCell(int readers, int64_t lookups_each) {
+// A warm group probed by `readers` threads. "narrow": 64 entries with one
+// θ; "wide": a full 512-entry group whose first θ is 0.005 and the rest
+// |N(0.1, 0.1²)| (the serving benchmark's θ spread), probed with near
+// repeats and fresh queries.
+CacheCell RunCacheCell(bool wide, int readers, int64_t lookups_each,
+                       uint64_t seed) {
   service::AnswerCacheConfig cfg;
   cfg.delta_min = 0.9;
   cfg.num_shards = 8;
   service::AnswerCache cache(cfg);
   const std::string group = "ds/g0/Q1";
-  for (int i = 0; i < 64; ++i) {
+  std::vector<query::Query> cached;
+  util::Rng rng(seed);
+  if (wide) {
+    cached.emplace_back(std::vector<double>{0.5, 0.5}, 0.005);
+    while (cached.size() < cfg.capacity_per_shard) {
+      cached.emplace_back(
+          std::vector<double>{rng.Uniform(0, 1), rng.Uniform(0, 1)},
+          std::fabs(rng.Gaussian(0.1, 0.1)));
+    }
+  } else {
+    for (int i = 0; i < 64; ++i) {
+      cached.emplace_back(std::vector<double>{0.01 * i, 0.5}, 0.1);
+    }
+  }
+  for (size_t i = 0; i < cached.size(); ++i) {
     service::CachedAnswer a;
-    a.q = query::Query({0.01 * i, 0.5}, 0.1);
+    a.q = cached[i];
     a.mean = static_cast<double>(i);
     cache.Insert(group, a);
   }
@@ -187,11 +212,27 @@ CacheCell RunCacheCell(int readers, int64_t lookups_each) {
   std::vector<std::thread> threads;
   util::Stopwatch sw;
   for (int r = 0; r < readers; ++r) {
-    threads.emplace_back([&cache, &group, lookups_each, r] {
-      util::Rng rng(static_cast<uint64_t>(100 + r));
+    threads.emplace_back([&, r] {
+      util::Rng probe_rng(static_cast<uint64_t>(100 + r));
       service::CachedAnswer out;
       for (int64_t i = 0; i < lookups_each; ++i) {
-        const query::Query probe({0.01 * rng.UniformInt(64), 0.5}, 0.1);
+        const query::Query& c = cached[probe_rng.UniformInt(cached.size())];
+        if (!wide) {
+          cache.Lookup(group, c, &out);
+          continue;
+        }
+        query::Query probe;
+        if (i % 2 == 0) {  // A near repeat of a cached ball.
+          const double jitter = 0.01 * c.theta;
+          probe = query::Query(
+              {c.center[0] + probe_rng.Uniform(-jitter, jitter),
+               c.center[1] + probe_rng.Uniform(-jitter, jitter)},
+              c.theta);
+        } else {
+          probe = query::Query(
+              {probe_rng.Uniform(0, 1), probe_rng.Uniform(0, 1)},
+              std::fabs(probe_rng.Gaussian(0.1, 0.1)));
+        }
         cache.Lookup(group, probe, &out);
       }
     });
@@ -199,11 +240,15 @@ CacheCell RunCacheCell(int readers, int64_t lookups_each) {
   for (auto& t : threads) t.join();
   const double secs = sw.ElapsedMillis() / 1e3;
 
+  const service::AnswerCacheStats stats = cache.stats();
   CacheCell cell;
+  cell.spread = wide ? "wide" : "narrow";
   cell.readers = readers;
   cell.lookups_per_sec =
       static_cast<double>(lookups_each * readers) / std::max(1e-9, secs);
-  cell.hit_rate = cache.stats().HitRate();
+  cell.hit_rate = stats.HitRate();
+  cell.grid_share = static_cast<double>(stats.grid_probes) /
+                    static_cast<double>(std::max<int64_t>(1, stats.lookups));
   return cell;
 }
 
@@ -266,18 +311,26 @@ int Run(bool smoke) {
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 8, 32};
   const int64_t lookups_each = smoke ? 20000 : 200000;
 
-  util::TablePrinter cache_table({"readers", "lookups_per_sec", "hit_rate"});
+  util::TablePrinter cache_table(
+      {"theta_spread", "readers", "lookups_per_sec", "hit_rate", "grid_share"});
   std::string cache_json = "[\n";
-  for (int readers : reader_counts) {
-    const CacheCell cell = RunCacheCell(readers, lookups_each);
-    cache_table.AddRow({util::Format("%d", readers),
-                        util::Format("%.3g", cell.lookups_per_sec),
-                        util::Format("%.3f", cell.hit_rate)});
-    cache_json += util::Format(
-        "  {\"readers\": %d, \"lookups_per_sec\": %.1f, "
-        "\"hit_rate\": %.4f, \"hardware_concurrency\": %u},\n",
-        readers, cell.lookups_per_sec, cell.hit_rate,
-        std::thread::hardware_concurrency());
+  double wide_grid_share = 1.0;  // Smallest over the wide-spread cells.
+  for (bool wide : {false, true}) {
+    for (int readers : reader_counts) {
+      const CacheCell cell =
+          RunCacheCell(wide, readers, lookups_each, env.seed);
+      if (wide) wide_grid_share = std::min(wide_grid_share, cell.grid_share);
+      cache_table.AddRow({cell.spread, util::Format("%d", readers),
+                          util::Format("%.3g", cell.lookups_per_sec),
+                          util::Format("%.3f", cell.hit_rate),
+                          util::Format("%.3f", cell.grid_share)});
+      cache_json += util::Format(
+          "  {\"theta_spread\": \"%s\", \"readers\": %d, "
+          "\"lookups_per_sec\": %.1f, \"hit_rate\": %.4f, "
+          "\"grid_share\": %.4f, \"hardware_concurrency\": %u},\n",
+          cell.spread.c_str(), readers, cell.lookups_per_sec, cell.hit_rate,
+          cell.grid_share, std::thread::hardware_concurrency());
+    }
   }
   if (cache_json.size() > 2 && cache_json[cache_json.size() - 2] == ',') {
     cache_json.erase(cache_json.size() - 2, 1);
@@ -297,6 +350,12 @@ int Run(bool smoke) {
   if (smoke && gate_block_rps < gate_row_rps) {
     std::cerr << "FATAL: blockvisit slower than the rowvisitor baseline on "
                  "the d=6/10% profile\n";
+    return 1;
+  }
+  if (smoke && wide_grid_share < 1.0) {
+    std::cerr << util::Format(
+        "FATAL: %.3f of wide-θ-spread cache lookups fell back to the linear "
+        "probe (want none)\n", 1.0 - wide_grid_share);
     return 1;
   }
   return 0;

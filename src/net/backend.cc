@@ -29,12 +29,6 @@ const char* BackendKindName(BackendKind kind) {
   return "?";
 }
 
-bool ParseBackendKind(const std::string& name, BackendKind* kind) {
-  if (name == "epoll") { *kind = BackendKind::kEpoll; return true; }
-  if (name == "sim") { *kind = BackendKind::kSim; return true; }
-  return false;
-}
-
 // ---------------------------------------------------- shared socket helpers --
 
 util::Status SyscallIoError(const std::string& what) {

@@ -48,10 +48,6 @@ enum class BackendKind : int {
 /// "epoll" / "sim".
 const char* BackendKindName(BackendKind kind);
 
-/// Parses "epoll"/"sim" (exact match). Returns false — leaving *kind
-/// untouched — for anything else.
-bool ParseBackendKind(const std::string& name, BackendKind* kind);
-
 /// \brief Readiness report for one registered handle.
 struct ReadyEvent {
   int handle = -1;

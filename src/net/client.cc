@@ -165,7 +165,7 @@ util::Status Client::ReadFrame(Frame* frame) {
 util::Status Client::SendRequest(const WireRequest& request,
                                  uint64_t request_id) {
   std::vector<uint8_t> out;
-  AppendFrame(&out, FrameType::kRequest, request_id, EncodeRequest(request));
+  AppendRequestFrame(&out, request_id, request);
   return WriteAll(out.data(), out.size());
 }
 
@@ -212,7 +212,7 @@ std::vector<util::Result<service::Answer>> Client::ExecuteBatch(
   std::vector<uint8_t> out;
   const uint64_t first_id = next_id_;
   for (const WireRequest& request : batch) {
-    AppendFrame(&out, FrameType::kRequest, next_id_++, EncodeRequest(request));
+    AppendRequestFrame(&out, next_id_++, request);
   }
   const util::Status sent = WriteAll(out.data(), out.size());
   if (!sent.ok()) {

@@ -557,6 +557,13 @@ std::vector<uint8_t> EncodeStatus(const util::Status& status) {
   return out;
 }
 
+void AppendRequestFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                        const WireRequest& request) {
+  const size_t frame = BeginFrame(out, FrameType::kRequest, request_id);
+  AppendRequestFields(out, request);
+  EndFrame(out, frame);
+}
+
 void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const service::Answer& answer) {
   const size_t frame = BeginFrame(out, FrameType::kAnswer, request_id);

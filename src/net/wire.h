@@ -210,9 +210,12 @@ class WireArena {
 /// In-place frame encoders: append one complete frame — header plus
 /// tagged-field payload, with payload_len, nested lengths, and checksum
 /// backpatched — directly onto `out`, with no per-frame payload allocation.
-/// They write the same field sequence as EncodeAnswer/EncodeStatus (one
-/// writer per message kind serves both); this is the arena encode path the
-/// server's executors use on reusable connection-owned buffers.
+/// They write the same field sequence as EncodeRequest/EncodeAnswer/
+/// EncodeStatus (one writer per message kind serves both); this is the
+/// arena encode path the client uses for requests and the server's
+/// executors use on reusable connection-owned buffers.
+void AppendRequestFrame(std::vector<uint8_t>* out, uint64_t request_id,
+                        const WireRequest& request);
 void AppendAnswerFrame(std::vector<uint8_t>* out, uint64_t request_id,
                        const service::Answer& answer);
 void AppendStatusFrame(std::vector<uint8_t>* out, uint64_t request_id,

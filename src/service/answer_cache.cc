@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -18,9 +19,66 @@ inline uint64_t Mix(uint64_t h, uint64_t v) {
   return v ^ (v >> 31);
 }
 
-inline int64_t CellCoord(double x, double cell) {
-  return static_cast<int64_t>(std::floor(x / cell));
+// A grid key is one Mix over a polynomial of the cell coordinates, seeded
+// by the band (a polynomial collision merely merges two cells).
+inline uint64_t Poly(uint64_t acc, uint64_t coord) {
+  return acc * 0x100000001b3ULL + coord;
 }
+
+// Widening of (1 - δ_min), relative and absolute, that covers the rounding
+// of δ (Equation 9): an entry the probe admits is always inside the box.
+// The box edges need no more: rounding is monotone, so x - ρ ≤ x' implies
+// fl(x - ρ) ≤ x' for every representable center x'.
+constexpr double kRelSlack = 0x1p-30;
+constexpr double kAbsSlack = 0x1p-50;
+
+// Grid probes keep their cell box on the stack; higher d probes linearly.
+constexpr size_t kMaxGridDims = 16;
+
+// Cell coordinates are clamped to ±2^52 so the float → int64 conversion is
+// always defined. Coordinates inside the limit are exact integers; a probe
+// box that reaches the limit takes the linear path instead.
+constexpr double kCoordLimit = 0x1p52;
+constexpr int64_t kCoordLimitInt = int64_t{1} << 52;
+
+// Band id of the degenerate band: θ not positive or not finite.
+constexpr int64_t kDegenerateBand = INT64_MIN;
+
+// floor(x / edge), clamped. Truncation plus a step down for negative
+// non-integers is exact inside the limit and, unlike std::floor on
+// baseline x86-64, needs no libm call.
+inline int64_t CellCoord(double x, double edge) {
+  const double v = x / edge;
+  if (!(v > -kCoordLimit)) return -kCoordLimitInt;  // Also catches NaN.
+  if (!(v < kCoordLimit)) return kCoordLimitInt;
+  const auto t = static_cast<int64_t>(v);
+  return static_cast<double>(t) > v ? t - 1 : t;
+}
+
+inline bool Clamped(int64_t c) {
+  return c <= -kCoordLimitInt || c >= kCoordLimitInt;
+}
+
+inline bool Bandable(double theta) {
+  return theta > 0.0 && std::isfinite(theta);
+}
+
+inline uint64_t BandSeed(size_t d, int64_t band) {
+  return Mix(0xcbf29ce484222325ULL ^ d, static_cast<uint64_t>(band));
+}
+
+inline uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// The cell box one probe visits in one θ band.
+struct BandBox {
+  int64_t band = 0;
+  int64_t lo[kMaxGridDims] = {};
+  int64_t hi[kMaxGridDims] = {};
+};
 
 // A probe's running best candidate.
 struct Best {
@@ -63,6 +121,85 @@ AnswerCache::AnswerCache(AnswerCacheConfig config) : config_(config) {
   for (size_t i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+
+  // δ ≥ δ_min bounds |θ - θ'| ≤ k(θ + θ'), i.e. θ' ∈ [θ/r, θ·r]. Bands are
+  // W = 2^s wide with W ≥ max(r², 2), so [θ/r, θ·r] meets at most two.
+  const double k = (1.0 - config_.delta_min) * (1.0 + kRelSlack) + kAbsSlack;
+  const double r = (1.0 + k) / (1.0 - k);
+  const double r2 = r * r * (1.0 + kRelSlack);
+  if (k < 1.0 && std::isfinite(r2)) {
+    banding_.probe = true;
+    banding_.k = k;
+    banding_.r = r;
+    while (std::ldexp(1.0, banding_.s) < r2) ++banding_.s;
+    // A probe radius in band b is at most k(1 + r)·top(b): three cells per
+    // dimension. Near δ_min = 1 that radius vanishes; the 1/64 floor keeps
+    // coordinates small without changing which entries are reachable.
+    banding_.cell_factor = std::max(k * (1.0 + r), 1.0 / 64.0);
+  }
+  // At δ_min = 0 every lookup probes linearly; the default banding still
+  // keys the grid that Insert finds exact duplicates through.
+}
+
+int32_t AnswerCache::Grid::Head(uint64_t key) const {
+  return table_.empty() ? -1 : table_[Find(key)].head;
+}
+
+size_t AnswerCache::Grid::Find(uint64_t key) const {
+  // Keys are splitmix outputs, so their low bits index the table directly.
+  const size_t mask = table_.size() - 1;
+  size_t i = static_cast<size_t>(key) & mask;
+  while (table_[i].head >= 0 && table_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void AnswerCache::Grid::Grow() {
+  std::vector<Cell> old = std::move(table_);
+  table_.assign(std::max<size_t>(16, 2 * old.size()), Cell{});
+  for (const Cell& c : old) {
+    if (c.head >= 0) table_[Find(c.key)] = c;
+  }
+}
+
+void AnswerCache::Grid::Add(uint64_t key, int32_t slot) {
+  const auto s = static_cast<size_t>(slot);
+  if (s >= next_.size()) next_.resize(s + 1, -1);
+  if (2 * (cells_ + 1) > table_.size()) Grow();
+  Cell& c = table_[Find(key)];
+  if (c.head < 0) {
+    c.key = key;
+    ++cells_;
+  }
+  next_[s] = c.head;
+  c.head = slot;
+}
+
+void AnswerCache::Grid::Remove(uint64_t key, int32_t slot) {
+  size_t i = Find(key);
+  Cell& c = table_[i];
+  const auto s = static_cast<size_t>(slot);
+  if (c.head == slot) {
+    c.head = next_[s];
+  } else {
+    int32_t prev = c.head;
+    while (next_[static_cast<size_t>(prev)] != slot) {
+      prev = next_[static_cast<size_t>(prev)];
+    }
+    next_[static_cast<size_t>(prev)] = next_[s];
+  }
+  if (c.head >= 0) return;
+  --cells_;
+  // Backward-shift erase: an entry later in the probe run moves into the
+  // hole unless its home index lies cyclically in (hole, entry].
+  const size_t mask = table_.size() - 1;
+  for (size_t j = (i + 1) & mask; table_[j].head >= 0; j = (j + 1) & mask) {
+    const size_t home = static_cast<size_t>(table_[j].key) & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      table_[i] = table_[j];
+      i = j;
+    }
+  }
+  table_[i] = Cell{};
 }
 
 AnswerCache::Shard& AnswerCache::ShardFor(const std::string& group) const {
@@ -75,13 +212,38 @@ const AnswerCache::Group* AnswerCache::FindGroup(const Shard& shard,
   return it == shard.groups.end() ? nullptr : &it->second;
 }
 
-uint64_t AnswerCache::CellHash(const double* center, size_t d,
-                               double cell) const {
-  uint64_t h = 0xcbf29ce484222325ULL ^ d;
-  for (size_t j = 0; j < d; ++j) {
-    h = Mix(h, static_cast<uint64_t>(CellCoord(center[j], cell)));
+int64_t AnswerCache::BandOf(double theta) const {
+  // ilogb(θ), read off the exponent field of a normal θ: exact, so bands
+  // are monotone in θ with no rounding at their edges.
+  const auto biased = static_cast<int64_t>(Bits(theta) >> 52 & 0x7ff);
+  const int64_t e = biased != 0 ? biased - 1023 : std::ilogb(theta);
+  const int64_t s = banding_.s;
+  return e >= 0 ? e / s : -((s - 1 - e) / s);
+}
+
+double AnswerCache::BandTop(int64_t band) const {
+  // 2^(s·(band + 1)), built from its exponent field when it is normal.
+  const int64_t e = banding_.s * (band + 1);
+  if (e < -1022 || e > 1023) return std::ldexp(1.0, static_cast<int>(e));
+  const uint64_t bits = static_cast<uint64_t>(e + 1023) << 52;
+  double top = 0.0;
+  std::memcpy(&top, &bits, sizeof(top));
+  return top;
+}
+
+uint64_t AnswerCache::GridKey(const query::Query& q) const {
+  const size_t d = q.dimension();
+  uint64_t acc = 0;
+  if (!Bandable(q.theta)) {
+    for (double x : q.center) acc = Poly(acc, Bits(x + 0.0));  // -0.0 → 0.0.
+    return Mix(BandSeed(d, kDegenerateBand), acc);
   }
-  return h;
+  const int64_t band = BandOf(q.theta);
+  const double edge = banding_.cell_factor * BandTop(band);
+  for (double x : q.center) {
+    acc = Poly(acc, static_cast<uint64_t>(CellCoord(x, edge)));
+  }
+  return Mix(BandSeed(d, band), acc);
 }
 
 int32_t AnswerCache::FindBest(const Group& g, const query::Query& q,
@@ -99,48 +261,88 @@ int32_t AnswerCache::FindBest(const Group& g, const query::Query& q,
     *delta_out = best.delta;
     return best.idx;
   };
-  const size_t d = q.dimension();
-  if (!config_.enable_grid || d == 0) return linear_probe();
-
-  // Any admissible entry satisfies ||x - x'|| ≤ (1 - δ_min)(θ + θ') — with
-  // θ' bounded by the group's θ_max — so only cells within that radius can
-  // hold a hit. Count the cell fan-out first; if it beats a straight scan
-  // of the group (small groups, large d), the linear probe wins.
-  const double radius = (1.0 - config_.delta_min) * (q.theta + g.theta_max);
-  std::vector<int64_t> lo(d), hi(d);
-  size_t cells = 1;
-  for (size_t j = 0; j < d; ++j) {
-    lo[j] = CellCoord(q.center[j] - radius, g.cell);
-    hi[j] = CellCoord(q.center[j] + radius, g.cell);
-    const uint64_t span = static_cast<uint64_t>(hi[j] - lo[j]) + 1;
-    if (span > config_.max_grid_cells) return linear_probe();
-    cells *= static_cast<size_t>(span);
-    if (cells > config_.max_grid_cells) return linear_probe();
-  }
-  if (cells >= g.slots.size()) return linear_probe();
-  *used_grid = true;
-
-  std::vector<int64_t> coord = lo;
-  for (;;) {
-    uint64_t h = 0xcbf29ce484222325ULL ^ d;
-    for (size_t j = 0; j < d; ++j) h = Mix(h, static_cast<uint64_t>(coord[j]));
-    auto cell_it = g.grid.find(h);
-    if (cell_it != g.grid.end()) {
-      for (int32_t idx : cell_it->second) {
-        const Slot& s = g.slots[static_cast<size_t>(idx)];
-        if (Consider(q, s.answer.q, idx, s.seq, config_.delta_min, &best)) {
-          *delta_out = best.delta;
-          return best.idx;
-        }
+  // Considers every slot of one grid cell; true once an exact repeat ends
+  // the probe.
+  auto probe_cell = [&](uint64_t key) {
+    for (int32_t idx = g.grid.Head(key); idx >= 0; idx = g.grid.Next(idx)) {
+      const Slot& s = g.slots[static_cast<size_t>(idx)];
+      if (Consider(q, s.answer.q, idx, s.seq, config_.delta_min, &best)) {
+        return true;
       }
     }
-    // Odometer over the cell box.
-    size_t j = 0;
-    for (; j < d; ++j) {
-      if (++coord[j] <= hi[j]) break;
-      coord[j] = lo[j];
+    return false;
+  };
+  const size_t d = q.dimension();
+  const size_t n = g.slots.size();
+  if (!config_.enable_grid || !banding_.probe || d == 0 || d > kMaxGridDims) {
+    return linear_probe();
+  }
+
+  if (!Bandable(q.theta)) {
+    // δ = 0 against every other ball: only an exact repeat, keyed in the
+    // degenerate band by the exact center, can be admitted.
+    if (n <= 1) return linear_probe();
+    *used_grid = true;
+    probe_cell(GridKey(q));
+    *delta_out = best.delta;
+    return best.idx;
+  }
+
+  // Admissible θ' lie in [θ/r, θ·r]: at most two bands. Within band b,
+  // θ' < top(b), so the center distance is at most k(θ + min(θ·r, top(b))).
+  // Count the cell fan-out first; if it is not smaller than the group, the
+  // linear probe is cheaper.
+  const double theta_lo = q.theta / banding_.r;
+  const double theta_hi = q.theta * banding_.r;
+  if (!(theta_lo > 0.0) || !std::isfinite(theta_hi)) return linear_probe();
+  const int64_t band_lo = BandOf(theta_lo);
+  const int64_t num_bands = BandOf(theta_hi) - band_lo + 1;
+  if (num_bands > 2) return linear_probe();  // W ≥ r² rules this out.
+  BandBox boxes[2];
+  size_t fanout = 0;
+  for (int64_t i = 0; i < num_bands; ++i) {
+    BandBox& box = boxes[i];
+    box.band = band_lo + i;
+    const double top = BandTop(box.band);
+    const double edge = banding_.cell_factor * top;
+    const double radius = banding_.k * (q.theta + std::min(theta_hi, top));
+    size_t cells = 1;
+    for (size_t j = 0; j < d; ++j) {
+      box.lo[j] = CellCoord(q.center[j] - radius, edge);
+      box.hi[j] = CellCoord(q.center[j] + radius, edge);
+      if (Clamped(box.lo[j]) || Clamped(box.hi[j])) return linear_probe();
+      const auto span = static_cast<size_t>(box.hi[j] - box.lo[j]) + 1;
+      if (span >= n) return linear_probe();
+      cells *= span;  // Both factors < n: no overflow.
+      if (cells >= n) return linear_probe();
     }
-    if (j == d) break;
+    fanout += cells;
+    if (fanout >= n) return linear_probe();
+  }
+  *used_grid = true;
+
+  int64_t coord[kMaxGridDims] = {};
+  for (int64_t i = 0; i < num_bands; ++i) {
+    const BandBox& box = boxes[i];
+    const uint64_t seed = BandSeed(d, box.band);
+    std::copy(box.lo, box.lo + d, coord);
+    for (;;) {
+      uint64_t acc = 0;
+      for (size_t j = 0; j < d; ++j) {
+        acc = Poly(acc, static_cast<uint64_t>(coord[j]));
+      }
+      if (probe_cell(Mix(seed, acc))) {
+        *delta_out = best.delta;
+        return best.idx;
+      }
+      // Odometer over the cell box.
+      size_t j = 0;
+      for (; j < d; ++j) {
+        if (++coord[j] <= box.hi[j]) break;
+        coord[j] = box.lo[j];
+      }
+      if (j == d) break;
+    }
   }
   *delta_out = best.delta;
   return best.idx;
@@ -186,31 +388,19 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
   Group& g = shard.groups[group_key];
 
   const query::Query& q = answer.q;
-  if (g.cell <= 0.0) {
-    // Cell edge fixed from the first cached ball: matches the typical probe
-    // radius (1 - δ_min)·2θ so hits probe O(3^d ∩ max_grid_cells) cells.
-    double base = (1.0 - config_.delta_min) * 2.0 * q.theta;
-    if (base <= 1e-12) base = q.theta;
-    if (base <= 1e-12) base = 1.0;
-    g.cell = base;
-  }
-  g.theta_max = std::max(g.theta_max, q.theta);
   const uint64_t stamp = shard.ticket.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t cell = CellHash(q.center.data(), q.dimension(), g.cell);
+  const uint64_t cell = GridKey(q);
 
-  // An exact-duplicate query shares the new center's cell: replace its
+  // An exact-duplicate query shares the new query's grid key: replace its
   // answer in place (keeps the group canonical).
-  auto cell_it = g.grid.find(cell);
-  if (cell_it != g.grid.end()) {
-    for (int32_t idx : cell_it->second) {
-      Slot& s = g.slots[static_cast<size_t>(idx)];
-      if (s.answer.q == q) {
-        s.answer = std::move(answer);
-        s.seq = stamp;
-        g.stamps[static_cast<size_t>(idx)].ticket.store(
-            stamp, std::memory_order_relaxed);
-        return;
-      }
+  for (int32_t idx = g.grid.Head(cell); idx >= 0; idx = g.grid.Next(idx)) {
+    Slot& s = g.slots[static_cast<size_t>(idx)];
+    if (s.answer.q == q) {
+      s.answer = std::move(answer);
+      s.seq = stamp;
+      g.stamps[static_cast<size_t>(idx)].ticket.store(
+          stamp, std::memory_order_relaxed);
+      return;
     }
   }
 
@@ -233,29 +423,15 @@ void AnswerCache::Insert(const std::string& group_key, CachedAnswer answer) {
       }
     }
     Slot& victim = g.slots[idx];
-    const double victim_theta = victim.answer.q.theta;
-    auto victim_cell = g.grid.find(victim.cell);
-    std::vector<int32_t>& members = victim_cell->second;
-    *std::find(members.begin(), members.end(), static_cast<int32_t>(idx)) =
-        members.back();
-    members.pop_back();
-    if (members.empty()) g.grid.erase(victim_cell);
+    g.grid.Remove(victim.cell, static_cast<int32_t>(idx));
 
     victim.answer = std::move(answer);
     victim.seq = stamp;
     victim.cell = cell;
     g.stamps[idx].ticket.store(stamp, std::memory_order_relaxed);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
-    // Don't let one evicted large-θ outlier pin the probe radius (and with
-    // it the grid fallback) forever: re-derive the maximum when it leaves.
-    if (victim_theta >= g.theta_max) {
-      g.theta_max = 0.0;
-      for (const Slot& s : g.slots) {
-        g.theta_max = std::max(g.theta_max, s.answer.q.theta);
-      }
-    }
   }
-  g.grid[cell].push_back(static_cast<int32_t>(idx));
+  g.grid.Add(cell, static_cast<int32_t>(idx));
 }
 
 size_t AnswerCache::EraseGroupsWithPrefix(const std::string& group_prefix) {
@@ -311,7 +487,7 @@ size_t AnswerCache::grid_cells_for_testing() const {
   size_t cells = 0;
   for (const auto& shard : shards_) {
     util::ReaderMutexLock lock(&shard->mu);
-    for (const auto& kv : shard->groups) cells += kv.second.grid.size();
+    for (const auto& kv : shard->groups) cells += kv.second.grid.cells();
   }
   return cells;
 }

@@ -27,12 +27,20 @@
 //     group is copied or rebuilt per insert.
 //   - Hit/miss/insert counters are per-shard atomics, so they stay exact
 //     under any reader/writer interleaving.
-//   - Since admission requires ||x - x'|| ≤ (1 - δ_min)(θ + θ'), a lookup
-//     only probes the grid cells within that radius — O(neighbouring cells)
-//     instead of O(group) — and falls back to the linear probe whenever the
-//     cell fan-out would exceed the group size (small groups, high d). Both
-//     paths pick the same entry: an exact repeat wins outright, otherwise
-//     the highest δ, ties going to the most recently inserted entry.
+//   - Admission bounds both the center distance and the θ ratio:
+//     δ(q, q') ≥ δ_min implies ||x - x'|| ≤ (1 - δ_min)(θ + θ') and
+//     θ' ∈ [θ/r, θ·r] with r = (2 - δ_min)/δ_min. The probe grid is keyed
+//     by θ band as well as by cell: band b holds θ ∈ [W^b, W^(b+1)), W the
+//     smallest power of two ≥ max(r², 2), so a lookup visits at most two
+//     bands; each band's cell edge is sized from its top θ, so a lookup
+//     visits at most 3^d cells per band however widely θ is spread in the
+//     group. The probe allocates nothing. It falls back to the linear probe
+//     only when enable_grid is off, at δ_min = 0 (r unbounded), when the
+//     cell fan-out is not smaller than the group, when d exceeds a fixed
+//     stack bound, or when cell coordinates would leave the exactly
+//     representable range. Both paths pick the same entry: an exact repeat
+//     wins outright, otherwise the highest δ, ties going to the most
+//     recently inserted entry.
 //
 // All operations are thread-safe.
 
@@ -67,13 +75,9 @@ struct AnswerCacheConfig {
   /// between datasets/kinds; clamped to at least 1.
   size_t num_shards = 8;
 
-  /// Spatial grid bucketing of cached query centers inside each group.
+  /// θ-banded grid bucketing of cached query centers inside each group.
   /// Disable to force the linear δ-probe (the correctness baseline).
   bool enable_grid = true;
-
-  /// Grid lookups probing more than this many cells fall back to the linear
-  /// probe (the grid only pays off when cells hold few entries each).
-  size_t max_grid_cells = 64;
 };
 
 /// \brief The reusable payload of one cached answer (Q1 scalar and/or the
@@ -143,7 +147,7 @@ class AnswerCache {
 
  private:
   /// One cached entry. `seq` is the shard ticket drawn when the entry was
-  /// inserted (the δ tie-break); `cell` is the grid key of its center.
+  /// inserted (the δ tie-break); `cell` is its grid key (θ band and cell).
   struct Slot {
     CachedAnswer answer;
     uint64_t seq = 0;
@@ -161,19 +165,59 @@ class AnswerCache {
     Stamp& operator=(const Stamp&) = delete;
   };
 
+  /// Probe grid of one group: maps a grid key (a θ band and cell
+  /// coordinates hash; collisions merely merge cells — extra candidates,
+  /// never missed ones) to the slots in that cell. A flat open-addressing
+  /// table (linear probing, backward-shift erase, at most half full) holds
+  /// each non-empty cell's first slot; the rest of the cell is a list
+  /// threaded through `next_`, indexed by slot. Empty cells are dropped, so
+  /// it holds at most one cell per slot; nothing is allocated per cell.
+  class Grid {
+   public:
+    /// First slot of cell `key`, or -1; Next() walks the rest of the cell.
+    int32_t Head(uint64_t key) const;
+    int32_t Next(int32_t slot) const {
+      return next_[static_cast<size_t>(slot)];
+    }
+    void Add(uint64_t key, int32_t slot);
+    void Remove(uint64_t key, int32_t slot);  ///< `slot` must be in the cell.
+    size_t cells() const { return cells_; }
+
+   private:
+    struct Cell {
+      uint64_t key = 0;
+      int32_t head = -1;  // -1: empty table entry.
+    };
+    /// Index of `key`'s cell, or of the empty entry that ends its probe.
+    size_t Find(uint64_t key) const;
+    void Grow();
+
+    std::vector<Cell> table_;  // Size 0 or a power of two.
+    std::vector<int32_t> next_;
+    size_t cells_ = 0;
+  };
+
   /// Per-group state, edited in place under the shard's exclusive lock.
   /// `slots` and `stamps` are parallel arrays; every slot is live. The grid
-  /// maps a cell-coordinate hash to the indices of the slots whose centers
-  /// fall in it (hash collisions merely merge cells — extra candidates,
-  /// never missed ones); empty cells are dropped, so it holds at most one
-  /// cell per slot. It is maintained even with enable_grid off, because
-  /// Insert finds exact duplicates through it.
+  /// is maintained even with enable_grid off, because Insert finds exact
+  /// duplicates through it.
   struct Group {
     std::vector<Slot> slots;
     std::vector<Stamp> stamps;
-    std::unordered_map<uint64_t, std::vector<int32_t>> grid;
-    double cell = 0.0;       // Cell edge length, fixed by the first insert.
-    double theta_max = 0.0;  // Largest cached θ (bounds the probe radius).
+    Grid grid;
+  };
+
+  /// The θ banding, a function of δ_min alone (fixed by the constructor).
+  /// Band b holds θ ∈ [2^(s·b), 2^(s·(b+1))) and has cell edge
+  /// cell_factor · 2^(s·(b+1)). `k` and `r` are (1 - δ_min) and
+  /// (2 - δ_min)/δ_min widened by a few ulps, so rounding in δ can never
+  /// admit an entry outside the probed cells. `probe` is false at δ_min = 0.
+  struct Banding {
+    bool probe = false;
+    double k = 1.0;
+    double r = 0.0;
+    int s = 1;
+    double cell_factor = 1.0;
   };
 
   struct Shard {
@@ -196,7 +240,13 @@ class AnswerCache {
   static const Group* FindGroup(const Shard& shard, const std::string& key)
       QREG_REQUIRES_SHARED(shard.mu);
 
-  uint64_t CellHash(const double* center, size_t d, double cell) const;
+  int64_t BandOf(double theta) const;
+  double BandTop(int64_t band) const;
+
+  /// The grid key of `q`: its θ band and the cell of its center. A θ that is
+  /// not positive and finite shares a degenerate band keyed by the exact
+  /// center, since such a query can only be hit by an exact repeat.
+  uint64_t GridKey(const query::Query& q) const;
 
   /// Index of the best admissible slot of `g`, or -1. Sets *delta_out and
   /// *used_grid (whether the grid path answered).
@@ -204,6 +254,7 @@ class AnswerCache {
                    bool* used_grid) const;
 
   AnswerCacheConfig config_;
+  Banding banding_;
   std::vector<std::unique_ptr<Shard>> shards_;  // Fixed size after ctor.
 };
 

@@ -242,6 +242,9 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
               util::StatusCode::kInvalidArgument);
   }
   EXPECT_TRUE(ServerConfig().Validate().ok());
+  EXPECT_EQ(ServerConfig().backend, BackendKind::kEpoll);
+  EXPECT_STREQ(BackendKindName(BackendKind::kEpoll), "epoll");
+  EXPECT_STREQ(BackendKindName(BackendKind::kSim), "sim");
   {
     // drain_timeout_millis == 0 is legal: "force-close immediately" is a
     // choice, not a typo.
@@ -258,21 +261,6 @@ TEST(NetServerTest, ConfigValidateRejectsBadConfigsBeforeAnySocket) {
     cfg.max_loop_pending_write_bytes = 0;
     EXPECT_TRUE(cfg.Validate().ok());
   }
-}
-
-TEST(NetServerTest, ParseBackendKindRoundTripsAndRejectsGarbage) {
-  EXPECT_EQ(ServerConfig().backend, BackendKind::kEpoll);
-  for (BackendKind k : {BackendKind::kEpoll, BackendKind::kSim}) {
-    BackendKind parsed = k == BackendKind::kEpoll ? BackendKind::kSim
-                                                  : BackendKind::kEpoll;
-    ASSERT_TRUE(ParseBackendKind(BackendKindName(k), &parsed));
-    EXPECT_EQ(parsed, k);
-  }
-  BackendKind kind = BackendKind::kEpoll;
-  EXPECT_FALSE(ParseBackendKind("", &kind));
-  EXPECT_FALSE(ParseBackendKind("Epoll", &kind));
-  EXPECT_FALSE(ParseBackendKind("poll", &kind));
-  EXPECT_EQ(kind, BackendKind::kEpoll);  // Untouched on failure.
 }
 
 TEST(NetServerTest, StartReturnsBoundEndpoint) {

@@ -388,6 +388,25 @@ service::Answer FullyPopulatedAnswer() {
   return answer;
 }
 
+TEST(InplaceEncodeTest, RequestFrameMatchesAppendFrameOfEncodeRequest) {
+  // The client's in-place request encoder must emit the same bytes as the
+  // payload-then-frame path, including after earlier frames in the buffer.
+  WireRequest q2 =
+      WireRequest::Q2("dataset_b", query::Query({0.25, -1.5, 3.0}, 0.125));
+  q2.deadline_budget_nanos = 5000000;
+  const std::vector<WireRequest> requests = {
+      WireRequest::Q1("r1", query::Query({0.5}, 0.1)), q2,
+      WireRequest::Q1("", query::Query({}, 0.0))};
+  std::vector<uint8_t> got, want;
+  uint64_t id = 7;
+  for (const WireRequest& r : requests) {
+    AppendRequestFrame(&got, id, r);
+    AppendFrame(&want, FrameType::kRequest, id, EncodeRequest(r));
+    id += 1000;
+  }
+  EXPECT_EQ(got, want);
+}
+
 TEST(InplaceEncodeTest, AppendsAfterExistingBytesAndStillDecodes) {
   // A batch buffer carries many frames back-to-back; each in-place frame
   // must leave earlier bytes untouched and decode from mid-buffer.

@@ -342,40 +342,95 @@ TEST(AnswerCacheShardingTest, ShardCountDoesNotChangeBehavior) {
   EXPECT_EQ(sa.evictions, sb.evictions);
 }
 
-TEST(AnswerCacheGridTest, GridLookupMatchesLinearProbeAdmissions) {
-  // The satellite contract: the spatial-grid δ-lookup admits exactly the
-  // entries the linear probe admits, with the same best-δ choice.
-  AnswerCacheConfig linear_cfg;
-  linear_cfg.delta_min = 0.85;
-  linear_cfg.capacity_per_shard = 4096;  // No evictions: pure probe test.
-  linear_cfg.enable_grid = false;
-  AnswerCacheConfig grid_cfg = linear_cfg;
-  grid_cfg.enable_grid = true;
-  AnswerCache linear(linear_cfg), grid(grid_cfg);
-
-  for (const query::Query& q : RandomQueries(500, 83)) {
-    CachedAnswer ins;
-    ins.q = q;
-    ins.mean = q.center[0] + 10.0 * q.center[1];
-    linear.Insert("g", ins);
-    grid.Insert("g", ins);
+// Probes `grid` and `linear` (same config but enable_grid) with `probe` and
+// expects the same admission, payload and δ. Returns whether it hit.
+bool ExpectSameAdmission(AnswerCache* linear, AnswerCache* grid,
+                         const std::string& group, const query::Query& probe,
+                         const std::string& where) {
+  CachedAnswer want, got;
+  const bool hit_linear = linear->Lookup(group, probe, &want);
+  const bool hit_grid = grid->Lookup(group, probe, &got);
+  EXPECT_EQ(hit_linear, hit_grid) << where << " " << probe.ToString();
+  if (hit_linear && hit_grid) {
+    EXPECT_EQ(want.mean, got.mean) << where << " " << probe.ToString();
+    EXPECT_EQ(want.delta, got.delta) << where << " " << probe.ToString();
   }
-  int64_t hits = 0;
-  for (const query::Query& probe : RandomQueries(800, 97)) {
-    CachedAnswer want, got;
-    const bool hit_linear = linear.Lookup("g", probe, &want);
-    const bool hit_grid = grid.Lookup("g", probe, &got);
-    ASSERT_EQ(hit_linear, hit_grid) << probe.ToString();
-    if (hit_linear) {
-      ++hits;
-      EXPECT_EQ(want.mean, got.mean) << probe.ToString();
-      EXPECT_EQ(want.delta, got.delta) << probe.ToString();
+  return hit_linear;
+}
+
+TEST(AnswerCacheGridTest, GridLookupMatchesLinearProbeAdmissions) {
+  // The θ-banded grid δ-lookup admits exactly the entries the linear probe
+  // admits, with the same best-δ choice, at every δ_min — including θ = 0
+  // exact repeats and centers ~1e6 with θ ~1e-9, where cell coordinates
+  // approach the exactly representable range.
+  for (double delta_min : {0.0, 0.5, 0.85, 0.9, 1.0}) {
+    const std::string where = "delta_min=" + std::to_string(delta_min);
+    AnswerCacheConfig linear_cfg;
+    linear_cfg.delta_min = delta_min;
+    linear_cfg.capacity_per_shard = 4096;  // No evictions: pure probe test.
+    linear_cfg.enable_grid = false;
+    AnswerCacheConfig grid_cfg = linear_cfg;
+    grid_cfg.enable_grid = true;
+    AnswerCache linear(linear_cfg), grid(grid_cfg);
+    auto insert = [&](const std::string& group, const query::Query& q) {
+      CachedAnswer ins;
+      ins.q = q;
+      ins.mean = q.center[0] + 10.0 * q.center[1] + 100.0 * q.theta;
+      linear.Insert(group, ins);
+      grid.Insert(group, ins);
+    };
+
+    const std::vector<query::Query> cached = RandomQueries(500, 83);
+    for (const query::Query& q : cached) insert("g", q);
+    // θ = 0 balls (and a -0.0 center) reachable only as exact repeats.
+    std::vector<query::Query> points;
+    for (int i = 0; i < 20; ++i) {
+      points.emplace_back(std::vector<double>{0.05 * i, i == 0 ? -0.0 : 0.5},
+                          0.0);
+      insert("g", points.back());
+    }
+    // Far, tiny balls: centers ~1e6 (ulp ~1.2e-10) with θ ~1e-9, plus a few
+    // at θ ~1e-12 whose cell coordinates leave the exact integer range.
+    util::Rng rng(89);
+    std::vector<query::Query> far;
+    for (int i = 0; i < 300; ++i) {
+      const double theta = (i % 10 == 0 ? 1e-12 : 1e-9) * rng.Uniform(0.5, 2.0);
+      far.emplace_back(std::vector<double>{1e6 + rng.Uniform(0.0, 4e-8),
+                                           -1e6 - rng.Uniform(0.0, 4e-8)},
+                       theta);
+      insert("far", far.back());
+    }
+
+    int64_t hits = 0;
+    for (const query::Query& probe : RandomQueries(800, 97)) {
+      hits += ExpectSameAdmission(&linear, &grid, "g", probe, where);
+    }
+    for (size_t i = 0; i < cached.size(); i += 5) {
+      hits += ExpectSameAdmission(&linear, &grid, "g", cached[i], where);
+    }
+    for (const query::Query& p : points) {
+      EXPECT_TRUE(ExpectSameAdmission(&linear, &grid, "g", p, where));
+      const query::Query shifted({p.center[0] + 0.01, p.center[1]}, 0.0);
+      ExpectSameAdmission(&linear, &grid, "g", shifted, where);
+    }
+    for (const query::Query& f : far) {
+      hits += ExpectSameAdmission(&linear, &grid, "far", f, where);
+      const query::Query jittered(
+          {f.center[0] + rng.Uniform(-1e-9, 1e-9),
+           f.center[1] + rng.Uniform(-1e-9, 1e-9)},
+          f.theta * rng.Uniform(0.9, 1.1));
+      hits += ExpectSameAdmission(&linear, &grid, "far", jittered, where);
+    }
+    if (HasFailure()) return;
+    EXPECT_GT(hits, 20) << where << ": too few hits to be meaningful";
+    EXPECT_EQ(linear.stats().grid_probes, 0) << where;
+    if (delta_min == 0.0) {
+      // r is unbounded at δ_min = 0: every lookup probes linearly.
+      EXPECT_EQ(grid.stats().grid_probes, 0) << where;
+    } else {
+      EXPECT_GT(grid.stats().grid_probes, grid.stats().lookups / 2) << where;
     }
   }
-  EXPECT_GT(hits, 20) << "probe workload produced too few hits to be meaningful";
-  // The big group (500 entries) must actually exercise the grid path.
-  EXPECT_GT(grid.stats().grid_probes, 0);
-  EXPECT_EQ(linear.stats().grid_probes, 0);
 }
 
 TEST(AnswerCacheGridTest, EvictionKeepsGridConsistent) {
@@ -399,33 +454,61 @@ TEST(AnswerCacheGridTest, EvictionKeepsGridConsistent) {
   }
 }
 
-TEST(AnswerCacheGridTest, EvictedOutlierThetaDoesNotPinProbeRadius) {
-  AnswerCacheConfig cfg;
-  cfg.delta_min = 0.9;
-  cfg.capacity_per_shard = 16;
-  cfg.enable_grid = true;
-  AnswerCache cache(cfg);
+TEST(AnswerCacheGridTest, WideThetaSpreadStaysOnGrid) {
+  // θ ~ |N(0.1, 0.1²)| after a tiny first θ: every θ band keeps its own cell
+  // edge, so every lookup stays on the grid and admits what the linear
+  // probe admits.
+  AnswerCacheConfig linear_cfg;
+  linear_cfg.delta_min = 0.9;
+  linear_cfg.capacity_per_shard = 512;
+  linear_cfg.enable_grid = false;
+  AnswerCacheConfig grid_cfg = linear_cfg;
+  grid_cfg.enable_grid = true;
+  AnswerCache linear(linear_cfg), grid(grid_cfg);
 
-  // A normal first insert fixes a small cell edge; a huge-θ outlier then
-  // inflates θ_max so every probe's cell fan-out exceeds max_grid_cells.
-  CachedAnswer normal0;
-  normal0.q = query::Query({0.5, 0.5}, 0.1);
-  cache.Insert("g", normal0);
-  CachedAnswer outlier;
-  outlier.q = query::Query({0.5, 0.5}, 50.0);
-  cache.Insert("g", outlier);
-  // 16 more inserts evict both of them (LRU from the back).
-  for (int i = 0; i < 16; ++i) {
-    CachedAnswer a;
-    a.q = query::Query({0.1 + 0.04 * i, 0.5}, 0.1);
-    cache.Insert("g", a);
+  util::Rng rng(61);
+  auto random_query = [&rng] {
+    return query::Query({rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)},
+                        std::fabs(rng.Gaussian(0.1, 0.1)));
+  };
+  std::vector<query::Query> cached;
+  cached.push_back(query::Query({0.5, 0.5}, 0.005));
+  while (cached.size() < 512) cached.push_back(random_query());
+  for (size_t i = 0; i < cached.size(); ++i) {
+    CachedAnswer ins;
+    ins.q = cached[i];
+    ins.mean = static_cast<double>(i);
+    linear.Insert("g", ins);
+    grid.Insert("g", ins);
   }
-  EXPECT_EQ(cache.size(), 16u);
-  // With θ_max re-derived after the outlier's eviction, lookups take the
-  // grid path again instead of falling back to the linear probe forever.
-  CachedAnswer out;
-  ASSERT_TRUE(cache.Lookup("g", query::Query({0.3, 0.5}, 0.1), &out));
-  EXPECT_GT(cache.stats().grid_probes, 0);
+  ASSERT_EQ(grid.size(), 512u);
+
+  // r = (2 - δ_min)/δ_min: the widest admissible θ ratio.
+  const double r = (2.0 - 0.9) / 0.9;
+  int64_t hits = 0;
+  for (int i = 0; i < 3000; ++i) {
+    query::Query probe = random_query();
+    const query::Query& c = cached[rng.UniformInt(cached.size())];
+    if (i % 3 == 1) {  // A near repeat of a cached ball.
+      probe = query::Query({c.center[0] + 0.01 * c.theta * rng.Uniform(-1, 1),
+                            c.center[1] + 0.01 * c.theta * rng.Uniform(-1, 1)},
+                           c.theta * rng.Uniform(0.98, 1.02));
+    } else if (i % 3 == 2) {
+      // Just inside the admission boundary: the cached θ is almost r times
+      // the probe's and the centers almost (1 - δ_min)(θ + θ') apart.
+      const double theta = c.theta / (0.999 * r);
+      const double dist = 0.999 * 0.1 * (theta + c.theta);
+      const double angle = rng.Uniform(0.0, 6.283185307179586);
+      probe = query::Query({c.center[0] + dist * std::cos(angle),
+                            c.center[1] + dist * std::sin(angle)},
+                           theta);
+    }
+    hits += ExpectSameAdmission(&linear, &grid, "g", probe, "wide");
+  }
+  EXPECT_GT(hits, 1000);
+  const AnswerCacheStats stats = grid.stats();
+  EXPECT_EQ(stats.grid_probes, stats.lookups);
+  EXPECT_EQ(stats.linear_probes, 0);
 }
 
 TEST(AnswerCacheGridTest, EqualDeltaTieGoesToNewestInsert) {
@@ -481,8 +564,7 @@ TEST(AnswerCacheGridTest, EqualDeltaTieGoesToNewestInsert) {
 // The cache's contract restated as the plainest possible code: one vector
 // per group, a linear δ-probe (exact repeat wins, then highest δ, then
 // newest insert), min-stamp LRU and replace-on-duplicate. It also predicts
-// which probe path the cache reports, from the documented rule: the cell
-// edge fixed by a group's first insert, its largest cached θ and its size.
+// which probe path the cache reports, from the documented θ-band rule.
 class ReferenceCache {
  public:
   explicit ReferenceCache(const AnswerCacheConfig& cfg) : cfg_(cfg) {}
@@ -525,13 +607,7 @@ class ReferenceCache {
   }
 
   void Insert(const std::string& key, const CachedAnswer& a) {
-    auto inserted = groups_.try_emplace(key);
-    Group& g = inserted.first->second;
-    if (inserted.second) {
-      g.cell = (1.0 - cfg_.delta_min) * 2.0 * a.q.theta;
-      if (g.cell <= 1e-12) g.cell = a.q.theta;
-      if (g.cell <= 1e-12) g.cell = 1.0;
-    }
+    Group& g = groups_[key];
     const uint64_t now = clock_++;
     for (Entry& e : g.entries) {
       if (e.answer.q == a.q) {
@@ -580,26 +656,47 @@ class ReferenceCache {
   };
   struct Group {
     std::vector<Entry> entries;
-    double cell = 0.0;
   };
 
+  // Admissible θ' lie in [θ/r, θ·r] (k and r are 1 - δ_min and
+  // (2 - δ_min)/δ_min widened by a few ulps). Band b holds θ with
+  // ilogb(θ) in [s·b, s·(b+1)), 2^s being the smallest power of two ≥ r²;
+  // its cells have edge max(k(1 + r), 1/64)·2^(s·(b+1)). A lookup takes the
+  // grid iff it is on, δ_min > 0, 0 < d ≤ 16, no probe-box coordinate
+  // reaches ±2^52, and the cells of the box of radius
+  // k(θ + min(θ·r, top(b))) summed over the bands are fewer than the
+  // group's entries. A θ that is not positive and finite
+  // probes one cell: exact repeats only.
   bool UsesGrid(const Group& g, const query::Query& q) const {
-    if (!cfg_.enable_grid || q.dimension() == 0) return false;
-    double theta_max = 0.0;
-    for (const Entry& e : g.entries) {
-      theta_max = std::max(theta_max, e.answer.q.theta);
+    const size_t n = g.entries.size();
+    const size_t d = q.dimension();
+    const double k = (1.0 - cfg_.delta_min) * (1.0 + 0x1p-30) + 0x1p-50;
+    if (!cfg_.enable_grid || k >= 1.0 || d == 0 || d > 16) return false;
+    if (!(q.theta > 0.0 && std::isfinite(q.theta))) return 1 < n;
+    const double r = (1.0 + k) / (1.0 - k);
+    int s = 1;
+    while (std::ldexp(1.0, s) < r * r * (1.0 + 0x1p-30)) ++s;
+    const double cell_factor = std::max(k * (1.0 + r), 1.0 / 64.0);
+    auto band_of = [s](double theta) {
+      return static_cast<int>(std::floor(std::ilogb(theta) / double(s)));
+    };
+    const double theta_lo = q.theta / r, theta_hi = q.theta * r;
+    if (!(theta_lo > 0.0) || !std::isfinite(theta_hi)) return false;
+    double cells = 0.0;
+    for (int b = band_of(theta_lo); b <= band_of(theta_hi); ++b) {
+      const double top = std::ldexp(1.0, s * (b + 1));
+      const double edge = cell_factor * top;
+      const double radius = k * (q.theta + std::min(theta_hi, top));
+      double box = 1.0;
+      for (double x : q.center) {
+        const double lo = std::floor((x - radius) / edge);
+        const double hi = std::floor((x + radius) / edge);
+        if (!(std::fabs(lo) < 0x1p52 && std::fabs(hi) < 0x1p52)) return false;
+        box *= hi - lo + 1.0;
+      }
+      cells += box;
     }
-    const double radius = (1.0 - cfg_.delta_min) * (q.theta + theta_max);
-    size_t cells = 1;
-    for (double c : q.center) {
-      const auto lo = static_cast<int64_t>(std::floor((c - radius) / g.cell));
-      const auto hi = static_cast<int64_t>(std::floor((c + radius) / g.cell));
-      const auto span = static_cast<size_t>(hi - lo) + 1;
-      if (span > cfg_.max_grid_cells) return false;
-      cells *= span;
-      if (cells > cfg_.max_grid_cells) return false;
-    }
-    return cells < g.entries.size();
+    return cells < static_cast<double>(n);
   }
 
   AnswerCacheConfig cfg_;
